@@ -102,9 +102,13 @@ let run_bechamel () =
 (* --quick: the CI perf gate.  A fixed deterministic batch of sweep cells
    (the bechamel configurations, several seeds each) run with the
    sweep-cell memo OFF — the gate measures the engine, not the cache —
-   and reported as one events-per-host-second figure.  [--out FILE]
-   writes the profile as JSON; [--baseline FILE] compares against a
-   previously written profile and fails (exit 1) on a >25% regression. *)
+   and reported as one events-per-host-second figure plus the GC words
+   the batch allocated.  [--out FILE] writes the profile as JSON;
+   [--baseline FILE] compares against a previously written profile and
+   fails (exit 1) on a >20% throughput regression or on minor-heap words
+   per event more than 2% above the baseline's.  Minor words repeat to
+   within a fraction of a percent run to run, so that half of the gate
+   catches an allocation regression the noisy wall clock cannot. *)
 
 let quick_cells =
   [
@@ -136,29 +140,30 @@ let quick_json ~jobs ~best (d : Hostprof.delta) =
 let baseline_help file =
   Printf.sprintf
     "expected a committed bench profile at %s (schema: {\"bench\":\"quick\",...,\
-     \"host\":{...,\"events_per_sec\":N,...}}).\n\
+     \"host\":{\"events\":N,\"events_per_sec\":N,...,\"gc_minor_words\":N,...}}).\n\
      Record one with:  dune exec bench/main.exe -- --quick -j 2 --out %s\n\
      then commit it (the .gitignore negates BENCH_*.json)." file file
 
-(* Pull ["events_per_sec": <num>] out of a baseline file without a JSON
-   parser: find the field name, then read the number after the colon. *)
-let baseline_events_per_sec file =
+let read_baseline file =
   if not (Sys.file_exists file) then begin
     Printf.eprintf "bench: baseline file %s does not exist.\n%s\n" file
       (baseline_help file);
     exit 2
   end;
-  let ic =
-    try open_in_bin file
-    with Sys_error msg ->
-      Printf.eprintf "bench: cannot read baseline %s (%s).\n%s\n" file msg
-        (baseline_help file);
-      exit 2
-  in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  let field = "\"events_per_sec\":" in
+  match open_in_bin file with
+  | exception Sys_error msg ->
+    Printf.eprintf "bench: cannot read baseline %s (%s).\n%s\n" file msg
+      (baseline_help file);
+    exit 2
+  | ic ->
+    let s = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    s
+
+(* Pull ["<field>": <num>] out of a baseline's text without a JSON
+   parser: find the field name, then read the number after the colon. *)
+let baseline_number s name =
+  let field = "\"" ^ name ^ "\":" in
   let rec find i =
     if i + String.length field > String.length s then None
     else if String.sub s i (String.length field) = field then
@@ -176,6 +181,9 @@ let baseline_events_per_sec file =
     else find (i + 1)
   in
   find 0
+
+let words_per_event ~words ~events =
+  if events > 0.0 then words /. events else 0.0
 
 let run_quick ~out ~baseline ~profile () =
   (* Measure the engine, not the cache. *)
@@ -223,26 +231,43 @@ let run_quick ~out ~baseline ~profile () =
   match baseline with
   | None -> ()
   | Some file ->
-    (match baseline_events_per_sec file with
-     | None ->
-       Printf.eprintf
-         "bench: baseline %s has no \"events_per_sec\" field — an old-schema \
-          or corrupt profile.\n%s\n"
-         file (baseline_help file);
-       exit 2
-     | Some base ->
-       let fresh = !best in
-       let ratio = if base > 0.0 then fresh /. base else 1.0 in
-       Printf.printf "baseline %s: %.0f events/sec; fresh: %.0f (%.2fx)\n" file base
-         fresh ratio;
-       if ratio < 0.8 then begin
-         Printf.eprintf
-           "bench: PERF REGRESSION: %.0f events/sec is less than 80%% of the \
-            baseline %.0f\n"
-           fresh base;
-         exit 1
-       end
-       else Printf.printf "perf gate: ok (threshold 0.8x)\n")
+    let text = read_baseline file in
+    let field name =
+      match baseline_number text name with
+      | Some v -> v
+      | None ->
+        Printf.eprintf
+          "bench: baseline %s has no %S field — an old-schema or corrupt \
+           profile.\n%s\n"
+          file name (baseline_help file);
+        exit 2
+    in
+    let base = field "events_per_sec" in
+    let base_wpe =
+      words_per_event ~words:(field "gc_minor_words") ~events:(field "events")
+    in
+    let fresh = !best in
+    let ratio = if base > 0.0 then fresh /. base else 1.0 in
+    Printf.printf "baseline %s: %.0f events/sec; fresh: %.0f (%.2fx)\n" file base
+      fresh ratio;
+    let wpe =
+      words_per_event ~words:d.Hostprof.gc_minor_words
+        ~events:(float_of_int d.Hostprof.sim_events)
+    in
+    Printf.printf "minor words/event: baseline %.2f; fresh: %.2f\n" base_wpe wpe;
+    let slow = ratio < 0.8 and bloated = wpe > base_wpe *. 1.02 in
+    if slow then
+      Printf.eprintf
+        "bench: PERF REGRESSION: %.0f events/sec is less than 80%% of the \
+         baseline %.0f\n"
+        fresh base;
+    if bloated then
+      Printf.eprintf
+        "bench: ALLOCATION REGRESSION: %.2f minor words/event is more than 2%% \
+         above the baseline %.2f\n"
+        wpe base_wpe;
+    if slow || bloated then exit 1
+    else Printf.printf "perf gate: ok (throughput >= 0.8x, minor words/event <= 1.02x)\n"
 
 type mode = {
   jobs : int;

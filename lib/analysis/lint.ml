@@ -528,6 +528,54 @@ let bump_gen_findings ~file src =
     List.rev !findings
   end
 
+(* Trace-record allocation rule
+
+   Building a [Trace.<Ctor> { ... }] event record allocates whether or
+   not the tracer is on, so every such construction outside trace.ml and
+   the tests must sit under a [Trace.enabled] (or [*tracing]) test in
+   the same window of preceding lines as [trace-guard].  A match arm
+   ([| Trace.Ctor { ... } ->]) is a pattern, not a construction. *)
+
+(* Whether scrubbed line [i] applies a [Trace.<Ctor>] to a record (the
+   brace may open the next line) outside a match-arm pattern. *)
+let builds_trace_record lines i =
+  let line = lines.(i) in
+  let n = String.length line in
+  let rec first_nonblank s k =
+    if k >= String.length s then None
+    else if s.[k] = ' ' || s.[k] = '\t' then first_nonblank s (k + 1)
+    else Some s.[k]
+  in
+  let rec last_nonblank k =
+    if k < 0 then None
+    else if line.[k] = ' ' || line.[k] = '\t' then last_nonblank (k - 1)
+    else Some line.[k]
+  in
+  let rec scan j =
+    if j + 7 > n then false
+    else if
+      String.sub line j 6 = "Trace."
+      && line.[j + 6] >= 'A'
+      && line.[j + 6] <= 'Z'
+      && (j = 0 || not (is_ident_char line.[j - 1]))
+    then begin
+      let e = ref (j + 6) in
+      while !e < n && is_ident_char line.[!e] do
+        incr e
+      done;
+      let next =
+        match first_nonblank line !e with
+        | None when i + 1 < Array.length lines -> first_nonblank lines.(i + 1) 0
+        | c -> c
+      in
+      (next = Some '{' && last_nonblank (j - 1) <> Some '|') || scan !e
+    end
+    else scan (j + 1)
+  in
+  scan 0
+
+let is_trace_guard_token tok = tok = "Trace.enabled" || ends_with tok "tracing"
+
 let check_source ~file src =
   let scrubbed = scrub src in
   let raw_lines = Array.of_list (String.split_on_char '\n' src) in
@@ -606,6 +654,21 @@ let check_source ~file src =
               "Trace.emit without a Trace.enabled test in the preceding \
                lines; unguarded emission costs sim time even when tracing \
                is off"
+        end;
+        if
+          Filename.basename file <> "trace.ml"
+          && (not (in_tests file))
+          && builds_trace_record lines i
+        then begin
+          let guarded = ref false in
+          for j = max 0 (i - 6) to i do
+            if List.exists is_trace_guard_token (line_tokens lines.(j)) then guarded := true
+          done;
+          if not !guarded then
+            report lineno "trace-alloc"
+              "Trace event record built without a Trace.enabled or tracing \
+               test in the preceding lines; the record allocates even when \
+               tracing is off"
         end
       end)
     lines;

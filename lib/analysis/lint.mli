@@ -20,6 +20,12 @@
       [Trace.enabled] within the few preceding lines, so tracing stays
       zero-cost when disabled.  [trace.ml] itself is exempt.
 
+    - {b trace-alloc}: every [Trace.<Ctor> { ... }] event record built
+      outside [trace.ml] and the tests must sit under a [Trace.enabled]
+      (or [*tracing]) test in the same window, because building the
+      record allocates even when the tracer is off.  Match arms
+      ([| Trace.Ctor { ... }]) are patterns and are not flagged.
+
     The scanner understands OCaml lexical structure well enough not to
     be fooled: nested [(* *)] comments, string literals (including
     strings inside comments) and char literals are blanked before rules

@@ -50,26 +50,31 @@ let serialisation_ns t bytes =
   (* Mbit/s = 10^-3 bits/ns. *)
   int_of_float (float_of_int (8 * bytes) /. (t.bandwidth_mbps /. 1000.0))
 
-let trace_ev_of_fault = function
-  | Faults.Ev_drop cause ->
-    Some (Trace.Fault_drop { cause = Faults.drop_cause_label cause })
-  | Faults.Ev_dup -> Some (Trace.Fault_dup { copies = 1 })
-  | Faults.Ev_corrupt { off; bit } -> Some (Trace.Fault_corrupt { off; bit })
-  | Faults.Ev_reorder { delay_ns } -> Some (Trace.Fault_reorder { delay_ns })
-  | Faults.Ev_delay _ -> None (* jitter perturbs timing only; not a fault event *)
+(* Fault events are cold (one per injected fault or pressure drop), but
+   like every trace site they build their record only when tracing is
+   on. *)
+let tracing t = Trace.enabled (Sim.tracer t.plat.Platform.sim)
 
 let trace_fault t ev =
   let sim = t.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  let ids () =
+  let tid, cpu =
     if Sim.in_thread sim then
       let th = Sim.self sim in
       (Sim.tid th, Sim.cpu th)
     else (-1, -1)
   in
-  if Trace.enabled tracer then
-    let tid, cpu = ids () in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid ~cpu ev
+  Trace.emit (Sim.tracer sim) (* lint:allow trace-guard: callers test [tracing] *)
+    ~ts:(Sim.now sim) ~tid ~cpu ev
+
+let trace_fault_event t ev =
+  if tracing t then
+    match ev with
+    | Faults.Ev_drop cause ->
+      trace_fault t (Trace.Fault_drop { cause = Faults.drop_cause_label cause })
+    | Faults.Ev_dup -> trace_fault t (Trace.Fault_dup { copies = 1 })
+    | Faults.Ev_corrupt { off; bit } -> trace_fault t (Trace.Fault_corrupt { off; bit })
+    | Faults.Ev_reorder { delay_ns } -> trace_fault t (Trace.Fault_reorder { delay_ns })
+    | Faults.Ev_delay _ -> () (* jitter perturbs timing only; not a fault event *)
 
 (* The receive side: a daemon thread that sleeps until frames arrive and
    pushes them up the destination stack. *)
@@ -84,7 +89,8 @@ let start_rx t dir ~name ~cpu =
              t.in_flight <- t.in_flight - 1;
              if Mpool.headroom dir.dest.Stack.pool < rx_headroom_margin then begin
                dir.pressure_drops <- dir.pressure_drops + 1;
-               trace_fault t (Trace.Fault_drop { cause = "pool_pressure" });
+               if tracing t then
+                 trace_fault t (Trace.Fault_drop { cause = "pool_pressure" });
                Msg.destroy frame
              end
              else Fddi.input dir.dest.Stack.fddi frame
@@ -109,8 +115,7 @@ let transmit t dir frame =
   let now = Sim.now sim in
   let deliveries =
     Faults.feed dir.faults ~now
-      ~on_event:(fun ev ->
-        match trace_ev_of_fault ev with Some tev -> trace_fault t tev | None -> ())
+      ~on_event:(trace_fault_event t)
       frame
   in
   List.iter

@@ -179,9 +179,17 @@ let release t =
     w.resume grant_time
   end
 
+(* Release on both paths without [Fun.protect]'s per-call finaliser
+   closure: critical sections run once per packet. *)
 let with_lock t f =
   acquire t;
-  Fun.protect ~finally:(fun () -> release t) f
+  match f () with
+  | v ->
+    release t;
+    v
+  | exception e ->
+    release t;
+    raise e
 
 let holding t =
   match t.owner with Some o -> o == Sim.self t.sim | None -> false
@@ -225,7 +233,13 @@ module Counting = struct
 
   let with_lock t f =
     acquire t;
-    Fun.protect ~finally:(fun () -> release t) f
+    match f () with
+    | v ->
+      release t;
+      v
+    | exception e ->
+      release t;
+      raise e
 
   let depth t = t.depth
   let underlying t = t.lock

@@ -20,9 +20,11 @@ let consume ?rate_mb_s t ~bytes =
     t.users <- t.users + 1;
     let d = duration_ns ?rate_mb_s t ~bytes ~users:t.users in
     t.bytes <- t.bytes + bytes;
-    Fun.protect
-      ~finally:(fun () -> t.users <- t.users - 1)
-      (fun () -> Sim.delay t.sim d);
+    (match Sim.delay t.sim d with
+     | () -> t.users <- t.users - 1
+     | exception e ->
+       t.users <- t.users - 1;
+       raise e);
     let tracer = Sim.tracer t.sim in
     if Trace.enabled tracer && Sim.in_thread t.sim then
       let th = Sim.self t.sim in

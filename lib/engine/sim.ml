@@ -8,6 +8,8 @@ type thread = {
   mutable runnable : bool; (* has a scheduled resumption (or is running) *)
   mutable waited_ns : int;
   mutable suspend_gen : int; (* suspension generation; catches stale resumes *)
+  mutable parked : (unit, unit) Effect.Deep.continuation; (* resumed by [wake] *)
+  mutable wake : unit -> unit; (* this thread's resume event, built once *)
 }
 
 type t = {
@@ -16,7 +18,7 @@ type t = {
   rng : Prng.t;
   mutable next_tid : int;
   mutable next_cpu : int;
-  mutable current : thread option;
+  mutable current : thread; (* [no_thread] between bursts *)
   mutable threads : thread array; (* tid-indexed; first [next_tid] slots live *)
   mutable stopping : bool;
   mutable processed : int;
@@ -39,9 +41,37 @@ type t = {
      error — the section must be host-atomic. *)
   mutable defer_on : bool;
   mutable defer_acc : int;
+  (* The pending [Delay]'s wake-up time, -1 when none: the effect itself
+     carries no payload, so performing it allocates nothing. *)
+  mutable wake_at : int;
 }
 
-type _ Effect.t += Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
+type _ Effect.t +=
+  | Delay : unit Effect.t
+  | Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
+
+(* Resting value of [thread.parked]: a continuation captured once at
+   start-up and never resumed, so the slot needs no option box. *)
+let no_k : (unit, unit) Effect.Deep.continuation =
+  let open Effect.Deep in
+  let module M = struct
+    type _ Effect.t += Capture : unit Effect.t
+    exception Captured of (unit, unit) continuation
+  end in
+  match
+    match_with Effect.perform M.Capture
+      {
+        retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun (type a) (eff : a Effect.t) ->
+            match eff with
+            | M.Capture -> Some (fun (k : (a, unit) continuation) -> raise (M.Captured k))
+            | _ -> None);
+      }
+  with
+  | () -> assert false
+  | exception M.Captured k -> k
 
 (* Batched dispatch is semantics-preserving (enforced by test and CI
    determinism diffs), so it defaults on; PNP_NO_BATCH=1 or
@@ -58,6 +88,21 @@ let batching_enabled () = !batching_default
 
 let nop () = ()
 
+(* [t.current] outside any burst: a sentinel rather than an option, so
+   entering a burst is a field write with no [Some] box. *)
+let no_thread =
+  {
+    tid = -1;
+    cpu = -1;
+    name = "<no thread>";
+    finished = true;
+    runnable = false;
+    waited_ns = 0;
+    suspend_gen = 0;
+    parked = no_k;
+    wake = nop;
+  }
+
 let create ?(seed = 42) ?batching () =
   {
     now = 0;
@@ -65,7 +110,7 @@ let create ?(seed = 42) ?batching () =
     rng = Prng.create seed;
     next_tid = 0;
     next_cpu = 0;
-    current = None;
+    current = no_thread;
     threads = [||];
     stopping = false;
     processed = 0;
@@ -83,6 +128,7 @@ let create ?(seed = 42) ?batching () =
     cur_run = 0;
     defer_on = false;
     defer_acc = 0;
+    wake_at = -1;
   }
 
 let now t = t.now
@@ -133,28 +179,58 @@ let at t time f =
 let after t d = at t (t.now + d)
 
 let self t =
-  match t.current with
-  | Some th -> th
-  | None -> failwith "Sim.self: not inside a simulated thread"
+  if t.current == no_thread then failwith "Sim.self: not inside a simulated thread"
+  else t.current
 
-(* One burst of a thread's execution: [t.current] is set while [k] runs
+(* One burst of a thread's execution: [t.current] is set while [f x] runs
    and cleared when the thread suspends, finishes, or escapes with an
    exception.  Hand-rolled rather than [Fun.protect] so the per-burst
    cost is two field writes, not a finaliser closure. *)
-let run_burst t th k =
-  t.current <- Some th;
-  match k () with
-  | () -> t.current <- None
+let run_burst t th f x =
+  t.current <- th;
+  match f x with
+  | () -> t.current <- no_thread
   | exception e ->
-    t.current <- None;
+    t.current <- no_thread;
     raise e
+
+let continue_parked k = Effect.Deep.continue k ()
 
 (* Run [f] as the body of [th]: effects performed inside are handled here.
    Each resumption of the thread's continuation happens from an event-loop
    callback, so [t.current] is set for the duration of each burst of
-   execution and cleared when the thread suspends or finishes. *)
+   execution and cleared when the thread suspends or finishes.
+
+   Everything a suspension needs is built here, once per thread: the
+   [Delay] branch of the handler and the resume event [th.wake], which
+   continues whatever continuation is parked in [th.parked].  A thread
+   has at most one pending resumption, so one event per thread is
+   enough; a contended [delay] then allocates only the continuation the
+   runtime captures. *)
 let start_thread t th body =
   let open Effect.Deep in
+  (* A fresh generation per suspension: a [resume] carrying an old
+     generation (or arriving while the thread is already runnable) is a
+     double or stale resume. *)
+  let park k =
+    th.suspend_gen <- th.suspend_gen + 1;
+    th.runnable <- false;
+    th.parked <- k;
+    trace_thread t th Trace.Thread_block
+  in
+  th.wake <-
+    (fun () ->
+      trace_thread t th Trace.Thread_resume;
+      run_burst t th continue_parked th.parked);
+  let on_delay =
+    Some
+      (fun k ->
+        let time = t.wake_at in
+        t.wake_at <- -1;
+        park k;
+        th.runnable <- true;
+        at t time th.wake)
+  in
   let handler =
     {
       retc =
@@ -163,36 +239,23 @@ let start_thread t th body =
           trace_thread t th Trace.Thread_exit);
       exnc = raise;
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
-          | Suspend (owner, register) ->
-            if owner != t then None
-            else
-              Some
-                (fun (k : (a, _) continuation) ->
-                  (* A fresh generation per suspension: a resume carrying
-                     an old generation (or arriving while the thread is
-                     already runnable) is a double resume.  An int field
-                     on the thread replaces the bool ref the old code
-                     allocated per suspension. *)
-                  th.suspend_gen <- th.suspend_gen + 1;
-                  let gen = th.suspend_gen in
-                  th.runnable <- false;
-                  trace_thread t th Trace.Thread_block;
-                  let resume time =
+          | Delay when t.wake_at >= 0 -> on_delay
+          | Suspend (owner, register) when owner == t ->
+            Some
+              (fun k ->
+                park k;
+                let gen = th.suspend_gen in
+                register (fun time ->
                     if th.runnable || gen <> th.suspend_gen then
-                      failwith
-                        (Printf.sprintf "Sim: thread %S resumed twice" th.name);
+                      failwith (Printf.sprintf "Sim: thread %S resumed twice" th.name);
                     th.runnable <- true;
-                    at t time (fun () ->
-                        trace_thread t th Trace.Thread_resume;
-                        run_burst t th (fun () -> continue k ()))
-                  in
-                  register resume)
+                    at t time th.wake))
           | _ -> None);
     }
   in
-  run_burst t th (fun () -> match_with body () handler)
+  run_burst t th (match_with body ()) handler
 
 (* Append [th] to the tid-indexed table, doubling the backing array as
    needed (the table replaces the old newest-first list, so diagnostics
@@ -225,6 +288,8 @@ let spawn t ?cpu ~name body =
       runnable = true;
       waited_ns = 0;
       suspend_gen = 0;
+      parked = no_k;
+      wake = nop;
     }
   in
   register_thread t th;
@@ -233,14 +298,15 @@ let spawn t ?cpu ~name body =
      past happens-before everything the child does.  Emitted with the
      parent's tid so the happens-before checker can seed the child's
      clock from it; top-level spawns (setup code) have no parent edge. *)
-  (match t.current with
-  | Some parent -> trace_thread t parent (Trace.Thread_fork { child = th.tid })
-  | None -> ());
-  trace_thread t th (Trace.Thread_spawn { name });
+  if Trace.enabled t.tracer then begin
+    if t.current != no_thread then
+      trace_thread t t.current (Trace.Thread_fork { child = th.tid });
+    trace_thread t th (Trace.Thread_spawn { name })
+  end;
   at t t.now (fun () -> start_thread t th body);
   th
 
-let in_thread t = Option.is_some t.current
+let in_thread t = t.current != no_thread
 
 let suspend t register =
   if t.defer_on then
@@ -287,7 +353,7 @@ let note_drain_end t =
 let delay_fast t d =
   let wake = t.now + d in
   if
-    t.batching && t.current != None && (not t.stopping)
+    t.batching && t.current != no_thread && (not t.stopping)
     && t.batch_pos >= t.batch_len
     && t.ring_len = 0
     && wake <= t.limit
@@ -306,15 +372,19 @@ let delay t d =
   if d < 0 then invalid_arg "Sim.delay: negative duration";
   if t.defer_on then t.defer_acc <- t.defer_acc + d
   else if d = 0 then ()
-  else if not (delay_fast t d) then
-    let deadline = t.now + d in
-    suspend t (fun resume -> resume deadline)
+  else if not (delay_fast t d) then begin
+    t.wake_at <- t.now + d;
+    Effect.perform Delay
+  end
 
 let yield t =
   (* Same fast path with d = 0: nothing else is pending at this instant,
      so yielding to nobody is a plain no-op (minus the event count). *)
   if t.defer_on then ()
-  else if not (delay_fast t 0) then suspend t (fun resume -> resume t.now)
+  else if not (delay_fast t 0) then begin
+    t.wake_at <- t.now;
+    Effect.perform Delay
+  end
 
 let stop t = t.stopping <- true
 

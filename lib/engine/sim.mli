@@ -92,7 +92,9 @@ val delay : t -> Pnp_util.Units.ns -> unit
 val suspend : t -> ((Pnp_util.Units.ns -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling thread.  [register] receives a
     one-shot [resume] function; whoever holds it may later call
-    [resume time] to schedule the thread to continue at absolute [time]. *)
+    [resume time] to schedule the thread to continue at absolute [time].
+    @raise Failure from [resume] on a second call, or on a call after the
+    thread has been resumed and suspended again (a stale resume). *)
 
 val yield : t -> unit
 (** Reschedule the calling thread at the current time, letting other

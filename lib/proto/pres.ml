@@ -8,24 +8,28 @@ let conversion_ns_per_byte = 95.0
 let convert plat pool msg =
   let len = Msg.length msg in
   let out = Msg.create pool len in
-  (* Real work: copy with each aligned 32-bit word byte-swapped. *)
-  let buf = Bytes.create len in
-  Msg.blit_to_bytes msg buf;
-  let words = len / 4 in
-  for w = 0 to words - 1 do
-    let base = 4 * w in
-    let b0 = Bytes.get buf base
-    and b1 = Bytes.get buf (base + 1)
-    and b2 = Bytes.get buf (base + 2)
-    and b3 = Bytes.get buf (base + 3) in
-    Bytes.set buf base b3;
-    Bytes.set buf (base + 1) b2;
-    Bytes.set buf (base + 2) b1;
-    Bytes.set buf (base + 3) b0
-  done;
-  for i = 0 to len - 1 do
-    Msg.set_u8 out i (Char.code (Bytes.get buf i))
-  done;
+  (* Real work: copy with each aligned 32-bit word byte-swapped, in place
+     in the output's single node — one generation bump for the whole
+     rewrite, no scratch buffer. *)
+  (match Msg.head_view out ~len with
+   | None -> assert (len = 0)
+   | Some (node, buf, base) ->
+     Mpool.bump_gen pool node;
+     let pos = ref base in
+     Msg.iter_slices msg (fun b off n ->
+         Bytes.blit b off buf !pos n;
+         pos := !pos + n);
+     for w = 0 to (len / 4) - 1 do
+       let i = base + (4 * w) in
+       let b0 = Bytes.get buf i
+       and b1 = Bytes.get buf (i + 1)
+       and b2 = Bytes.get buf (i + 2)
+       and b3 = Bytes.get buf (i + 3) in
+       Bytes.set buf i b3;
+       Bytes.set buf (i + 1) b2;
+       Bytes.set buf (i + 2) b1;
+       Bytes.set buf (i + 3) b0
+     done);
   Msg.destroy msg;
   Platform.charge plat (int_of_float (float_of_int len *. conversion_ns_per_byte));
   out

@@ -265,33 +265,37 @@ and session = {
   st : stats;
 }
 
-(* Packet-lifecycle trace spans, keyed by the segment's sequence number
-   so a misordered segment's journey is visible end to end in the
-   exported trace.  Guarded on the tracer so the disabled path costs one
-   field read. *)
-let span plat ev =
+(* Trace events from the protocol: packet-lifecycle spans keyed by the
+   segment's sequence number (so a misordered segment's journey is
+   visible end to end in the exported trace), shared-state accesses and
+   the SCR/RCU synchronisation events.  Every site tests [tracing]
+   before it builds the event record, so the untraced path costs one
+   field read and allocates nothing. *)
+let tracing plat =
   let sim = plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+  Trace.enabled (Sim.tracer sim) && Sim.in_thread sim
 
-let span_begin plat ~seq phase = span plat (Trace.Span_begin { seq; phase })
-let span_end plat ~seq phase = span plat (Trace.Span_end { seq; phase })
+let emit plat ev =
+  let sim = plat.Platform.sim in
+  let th = Sim.self sim in
+  Trace.emit (Sim.tracer sim) (* lint:allow trace-guard: callers test [tracing] *)
+    ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+
+let span_begin plat ~seq phase =
+  if tracing plat then emit plat (Trace.Span_begin { seq; phase })
+
+let span_end plat ~seq phase =
+  if tracing plat then emit plat (Trace.Span_end { seq; phase })
 
 (* Shared-state access annotations for the Eraser-style lockset checker
    (Pnp_analysis.Lockset).  Each annotated site names the piece of
    per-connection state it touches ("<conn>#snd", "#rcv", "#reass",
    "#sb"); the checker intersects the locks held across all accesses of
-   the same name and reports when the intersection goes empty.  Guarded
-   on the tracer so the disabled path costs one field read. *)
+   the same name and reports when the intersection goes empty. *)
 let access sess ~write field =
-  let sim = sess.proto.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th)
-      (Trace.Access { state = sess.state_ns ^ "#" ^ field; write })
+  let plat = sess.proto.plat in
+  if tracing plat then
+    emit plat (Trace.Access { state = sess.state_ns ^ "#" ^ field; write })
 
 (* ------------------------------------------------------------------ *)
 (* Locking disciplines                                                 *)
@@ -361,14 +365,9 @@ let all_locks sess =
   | L_scr _ -> []
   | L_rcu { ru_wr; _ } -> [ ru_wr ]
 
-(* SCR/RCU synchronisation events for the analysis layer, guarded like
-   [access] so the disabled path costs one field read. *)
-let sync_trace sess ev =
-  let sim = sess.proto.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+(* SCR/RCU synchronisation events for the analysis layer. *)
+let sync_tracing sess = tracing sess.proto.plat
+let sync_trace sess ev = emit sess.proto.plat ev
 
 (* An SCR host-atomic section outside the log proper (output path,
    timers, send-buffer mutation): simulated charges accumulate while the
@@ -378,12 +377,14 @@ let sync_trace sess ev =
    between [Scr_apply] and [Scr_apply_end] as a hold of the synthetic
    log lock either way. *)
 let scr_section_begin sess log =
-  sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
+  if sync_tracing sess then
+    sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
   Sim.defer_begin sess.proto.plat.Platform.sim
 
 let scr_section_end sess log =
   let cost = Sim.defer_end sess.proto.plat.Platform.sim in
-  sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
+  if sync_tracing sess then
+    sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
   Sim.delay sess.proto.plat.Platform.sim cost
 
 (* RCU: publish a fresh immutable snapshot of the reader-visible fields.
@@ -401,7 +402,7 @@ let rcu_publish sess r =
     };
   r.ru_publishes <- r.ru_publishes + 1;
   Costs.charge sess.proto.plat Costs.rcu_publish;
-  sync_trace sess (Trace.Rcu_publish { state = sess.state_ns })
+  if sync_tracing sess then sync_trace sess (Trace.Rcu_publish { state = sess.state_ns })
 
 (* The lock(s) guarding the receive path's serialisation point.  Header
    prediction manipulates send-side state on the receive path (the Net/2
@@ -1153,7 +1154,7 @@ let scr_append_entry sess log hdr msg =
   log.sl_appends <- log.sl_appends + 1;
   let depth = log.sl_tail - log.sl_trunc in
   if depth > log.sl_max_depth then log.sl_max_depth <- depth;
-  sync_trace sess (Trace.Scr_append { log = log.sl_name; idx });
+  if sync_tracing sess then sync_trace sess (Trace.Scr_append { log = log.sl_name; idx });
   (* Bounded log: retire the history the ring is about to overwrite.
      Entries apply in the same host event burst as their append, so
      sl_applied trails sl_tail by at most one and truncation can never
@@ -1172,7 +1173,8 @@ let scr_apply_entry sess log idx =
   let e = scr_entry_at log idx in
   if not e.e_applied then begin
     e.e_applied <- true;
-    sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx });
+    if sync_tracing sess then
+      sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx });
     let sim = sess.proto.plat.Platform.sim in
     let now = Sim.now sim in
     Sim.defer_begin sim;
@@ -1189,7 +1191,8 @@ let scr_apply_entry sess log idx =
        | Closed -> e.e_hdr.Tcp_wire.flags.Tcp_wire.fin
        | _ -> false);
     e.e_cost <- Sim.defer_end sim;
-    sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx });
+    if sync_tracing sess then
+      sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx });
     log.sl_applied <- idx + 1
   end
 
@@ -1231,7 +1234,8 @@ let scr_segment_arrives sess log (hdr : Tcp_wire.header) msg =
   if gap > 0 then begin
     log.sl_replayed <- log.sl_replayed + gap;
     Costs.charge t.plat (Costs.scr_replay_per_entry * gap);
-    sync_trace sess (Trace.Scr_replay { log = log.sl_name; upto = idx })
+    if sync_tracing sess then
+      sync_trace sess (Trace.Scr_replay { log = log.sl_name; upto = idx })
   end;
   Hashtbl.replace log.sl_marks tid (idx + 1);
   (* Our own entry: pay its measured processing cost on this thread's
@@ -1307,14 +1311,16 @@ let rcu_try_read sess r (hdr : Tcp_wire.header) msg =
       if len = 0 then begin
         r.ru_reads <- r.ru_reads + 1;
         Costs.charge t.plat Costs.rcu_read;
-        sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
+        if sync_tracing sess then
+          sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
         Msg.destroy msg;
         true
       end
       else if Tcp_seq.leq (Tcp_seq.add hdr.seq len) snap.r_rcv_nxt then begin
         r.ru_reads <- r.ru_reads + 1;
         Costs.charge t.plat Costs.rcu_read;
-        sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
+        if sync_tracing sess then
+          sync_trace sess (Trace.Rcu_read { state = sess.state_ns });
         Msg.destroy msg;
         rcu_emit_dup_ack sess snap;
         true
@@ -1733,7 +1739,8 @@ let ticket_gate sess = sess.gate
 let scr_send_enqueue sess log msg =
   let sim = sess.proto.plat.Platform.sim in
   let rec go () =
-    sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
+    if sync_tracing sess then
+      sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
     Sim.defer_begin sim;
     let r =
       with_rexmt_lock sess (fun () ->
@@ -1741,7 +1748,8 @@ let scr_send_enqueue sess log msg =
           Sockbuf.offer sess.tcb.sb msg)
     in
     let cost = Sim.defer_end sim in
-    sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
+    if sync_tracing sess then
+      sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
     match r with
     | `Queued ->
       Sim.delay sim cost;

@@ -85,24 +85,21 @@ let cache_hit_instrs = 18
 let malloc_instrs = 120
 let free_instrs = 60
 
-let trace_alloc t ~hit =
-  let sim = t.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th)
-      (Trace.Mpool_alloc { hit })
-
 (* Lifecycle events for the arena sanitizer (Pnp_analysis.Lifetime):
-   alloc / ref / unref / recycle / write, keyed by node id.  Same guard
-   shape as [trace_alloc]: free when tracing is off, and silent outside
-   simulated threads (setup/teardown traffic has no tid to charge). *)
+   alloc / ref / unref / recycle / write, keyed by node id, plus the
+   cache hit/miss of each allocation.  Every site tests [tracing] before
+   it builds the event record, so the untraced path allocates nothing;
+   events are silent outside simulated threads (setup/teardown traffic
+   has no tid to charge). *)
+let tracing t =
+  let sim = t.plat.Platform.sim in
+  Trace.enabled (Sim.tracer sim) && Sim.in_thread sim
+
 let trace_node t ev =
   let sim = t.plat.Platform.sim in
-  let tracer = Sim.tracer sim in
-  if Trace.enabled tracer && Sim.in_thread sim then
-    let th = Sim.self sim in
-    Trace.emit tracer ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+  let th = Sim.self sim in
+  Trace.emit (Sim.tracer sim) (* lint:allow trace-guard: callers test [tracing] *)
+    ~ts:(Sim.now sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
 
 let create ?(capacity = max_int) ?soft_watermark plat =
   if capacity <= 0 then invalid_arg "Mpool.create: capacity must be positive";
@@ -186,7 +183,7 @@ let arena_take t cls cap =
    refcount zero for nodes not parked in a simulated per-thread cache. *)
 let arena_recycle t node =
   if node.from_arena then begin
-    trace_node t (Trace.Mnode_recycle { node = node.id });
+    if tracing t then trace_node t (Trace.Mnode_recycle { node = node.id });
     t.arena_out <- t.arena_out - Bytes.length node.data;
     let cls = node.size_class in
     if t.arena_free_n.(cls) < arena_retain then begin
@@ -213,7 +210,7 @@ let fresh_node t n cls =
     }
   in
   t.next_id <- t.next_id + 1;
-  trace_node t (Trace.Mnode_alloc { node = node.id });
+  if tracing t then trace_node t (Trace.Mnode_alloc { node = node.id });
   node
 
 let global_alloc t n cls =
@@ -257,7 +254,7 @@ let alloc t n =
     cls < 2 && t.plat.Platform.message_caching && Sim.in_thread t.plat.Platform.sim
   in
   if not use_cache then begin
-    trace_alloc t ~hit:false;
+    if tracing t then trace_node t (Trace.Mpool_alloc { hit = false });
     global_alloc t n cls
   end
   else begin
@@ -267,21 +264,21 @@ let alloc t n =
       cache.nodes.(cls) <- rest;
       cache.depths.(cls) <- cache.depths.(cls) - 1;
       t.cache_hits <- t.cache_hits + 1;
-      trace_alloc t ~hit:true;
+      if tracing t then trace_node t (Trace.Mpool_alloc { hit = true });
       Platform.charge_instrs t.plat cache_hit_instrs;
       ignore (Atomic_ctr.incr node.refs);
       (* A cached node comes back to life: 0 -> 1 is a re-arm, not a
          reference taken on a live node, so it traces as an alloc. *)
-      trace_node t (Trace.Mnode_alloc { node = node.id });
+      if tracing t then trace_node t (Trace.Mnode_alloc { node = node.id });
       node
     | [] ->
-      trace_alloc t ~hit:false;
+      if tracing t then trace_node t (Trace.Mpool_alloc { hit = false });
       global_alloc t n cls
   end
 
 let incref t node =
   let r = Atomic_ctr.incr node.refs in
-  trace_node t (Trace.Mnode_ref { node = node.id; refs = r })
+  if tracing t then trace_node t (Trace.Mnode_ref { node = node.id; refs = r })
 
 let global_free t =
   if Sim.in_thread t.plat.Platform.sim then begin
@@ -293,7 +290,7 @@ let global_free t =
 let decref t node =
   let r = Atomic_ctr.decr node.refs in
   if r < 0 then failwith "Mpool.decref: reference count went negative";
-  trace_node t (Trace.Mnode_unref { node = node.id; refs = r });
+  if tracing t then trace_node t (Trace.Mnode_unref { node = node.id; refs = r });
   if r = 0 then begin
     t.live <- t.live - 1;
     if t.in_pressure && t.live < t.soft then leave_pressure t;
@@ -366,7 +363,7 @@ let sum_cache_enabled () = !sum_cache_default
 
 let bump_gen t node =
   node.gen <- node.gen + 1;
-  trace_node t (Trace.Mnode_write { node = node.id })
+  if tracing t then trace_node t (Trace.Mnode_write { node = node.id })
 
 let cached_sum node ~off ~len =
   if

@@ -431,6 +431,43 @@ let test_lint_trace_guard () =
        (lint ~file:"lib/engine/trace.ml"
           "let f t =\n  Trace.emit t ~ts:0 ~tid:0 ~cpu:0 ev\n"))
 
+let test_lint_trace_alloc () =
+  (* Seeded defect: the record is built before the callee's guard runs. *)
+  (match
+     lint ~file:"lib/xkern/foo.ml"
+       "let incref t node =\n\
+       \  let r = bump node in\n\
+       \  trace_node t (Trace.Mnode_ref { node = node.id; refs = r })\n"
+   with
+   | [ f ] ->
+     Alcotest.(check string) "rule" "trace-alloc" f.Lint.rule;
+     Alcotest.(check int) "line" 3 f.Lint.line
+   | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)));
+  (* The brace may open the next line. *)
+  Alcotest.(check (list string)) "record on the next line" [ "trace-alloc" ]
+    (rules
+       (lint ~file:"lib/engine/foo.ml"
+          "let f t =\n  trace t\n    (Trace.Lock_grant\n       { lock = t.name })\n"));
+  Alcotest.(check (list string)) "guarded by Trace.enabled" []
+    (rules
+       (lint ~file:"lib/engine/foo.ml"
+          "let f t =\n\
+          \  if Trace.enabled t.tracer then\n\
+          \    trace t (Trace.Thread_fork { child = 1 })\n"));
+  Alcotest.(check (list string)) "guarded by a tracing test" []
+    (rules
+       (lint ~file:"lib/proto/foo.ml"
+          "let f sess =\n\
+          \  if sync_tracing sess then sync_trace sess (Trace.Rcu_read { state = s })\n"));
+  Alcotest.(check (list string)) "constant constructors allocate nothing" []
+    (rules (lint ~file:"lib/engine/foo.ml" "let f t th =\n  trace_thread t th Trace.Thread_block\n"));
+  Alcotest.(check (list string)) "match arms are patterns" []
+    (rules
+       (lint ~file:"lib/analysis/foo.ml"
+          "let f r =\n  match r with\n  | Trace.Lock_grant { lock; _ } -> lock\n  | _ -> x\n"));
+  Alcotest.(check (list string)) "tests exempt" []
+    (rules (lint ~file:"test/test_foo.ml" "let ev = Trace.Mnode_alloc { node = 1 }\n"))
+
 let test_lint_allow_marker () =
   Alcotest.(check (list string)) "lint:allow suppresses" []
     (rules
@@ -638,6 +675,7 @@ let suites =
         Alcotest.test_case "no global mutable state" `Quick test_lint_no_global_mutable;
         Alcotest.test_case "lock pairing" `Quick test_lint_lock_pairing;
         Alcotest.test_case "trace guard" `Quick test_lint_trace_guard;
+        Alcotest.test_case "trace records built under a guard" `Quick test_lint_trace_alloc;
         Alcotest.test_case "allow marker" `Quick test_lint_allow_marker;
         Alcotest.test_case "msg mutators must bump_gen" `Quick test_lint_msg_bump_gen;
         Alcotest.test_case "state-access matrix violations" `Quick test_lint_state_matrix;

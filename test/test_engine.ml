@@ -253,6 +253,54 @@ let test_sim_double_resume_fails () =
       | exception Failure _ -> ());
   Sim.run sim
 
+(* The generation check lives in each [resume]: a resume kept from an
+   earlier suspension must fail even once the thread has parked again on
+   a new registration (so it is not runnable), instead of waking it out
+   of turn. *)
+let test_sim_stale_resume_fails () =
+  let sim = Sim.create () in
+  let first = ref None and second = ref None in
+  let _ =
+    Sim.spawn sim ~name:"s" (fun () ->
+        Sim.suspend sim (fun r -> first := Some r);
+        Sim.suspend sim (fun r -> second := Some r))
+  in
+  Sim.at sim 10 (fun () -> (Option.get !first) 20);
+  Sim.at sim 30 (fun () ->
+      Alcotest.(check bool) "parked again" true (Option.is_some !second);
+      match (Option.get !first) 40 with
+      | () -> Alcotest.fail "stale resume should fail"
+      | exception Failure _ -> (Option.get !second) 50);
+  Sim.run sim;
+  Alcotest.(check int) "woken by the live resume" 50 (Sim.now sim)
+
+(* A contended [delay] (another thread's event pending first, so no
+   in-place clock advance) allocates only the continuation the runtime
+   captures: no effect payload, no closure per resume.  That block is 2
+   words on OCaml 5.1; the budget of 4 leaves room for a runtime whose
+   block is larger and still fails on any per-resume closure. *)
+let test_sim_contended_delay_alloc () =
+  let n = 20_000 in
+  let sim = Sim.create () in
+  let body () =
+    for _ = 1 to n do
+      Sim.delay sim 10
+    done
+  in
+  ignore (Sim.spawn sim ~name:"a" body);
+  ignore (Sim.spawn sim ~name:"b" body);
+  Sim.run ~until:0 sim;
+  let processed = Sim.events_processed sim in
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let words = Gc.minor_words () -. w0 in
+  let delays = 2 * n in
+  Alcotest.(check int) "every delay took the suspending path" delays
+    (Sim.events_processed sim - processed);
+  let per_delay = words /. float_of_int delays in
+  if per_delay > 4.0 then
+    Alcotest.failf "%.2f minor words per contended delay (budget 4)" per_delay
+
 let test_sim_spawn_on_cpu () =
   let sim = Sim.create () in
   let th = Sim.spawn sim ~cpu:3 ~name:"pinned" (fun () -> ()) in
@@ -912,6 +960,9 @@ let suites =
         Alcotest.test_case "self outside thread" `Quick test_sim_self_outside_thread;
         Alcotest.test_case "suspend/resume" `Quick test_sim_suspend_resume;
         Alcotest.test_case "double resume fails" `Quick test_sim_double_resume_fails;
+        Alcotest.test_case "stale resume fails" `Quick test_sim_stale_resume_fails;
+        Alcotest.test_case "contended delay allocation budget" `Quick
+          test_sim_contended_delay_alloc;
         Alcotest.test_case "spawn on cpu" `Quick test_sim_spawn_on_cpu;
         Alcotest.test_case "yield fairness" `Quick test_sim_yield_fairness;
         Alcotest.test_case "deterministic per seed" `Quick test_sim_deterministic_given_seed;

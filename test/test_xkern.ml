@@ -155,6 +155,43 @@ let test_mpool_cache_growths_flat_on_fast_path () =
     growths
     (Mpool.cache_table_growths pool)
 
+(* With tracing off, the Mpool trace sites build no event record: a
+   write ([Mnode_write]) and a ref/unref pair ([Mnode_ref]/[Mnode_unref])
+   allocate nothing, and [Msg.dup]+[Msg.destroy] allocate only the
+   message copy itself. *)
+let test_mpool_untraced_no_alloc () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  let n = 10_000 in
+  let words_per_op f =
+    let w0 = Gc.minor_words () in
+    for i = 1 to n do
+      f i
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int n
+  in
+  in_sim p (fun () ->
+      let m = Msg.create pool 64 in
+      let node =
+        match Msg.head_view m ~len:64 with Some (nd, _, _) -> nd | None -> assert false
+      in
+      let set = words_per_op (fun i -> Msg.set_u8 m (i land 63) i) in
+      let refs =
+        words_per_op (fun _ ->
+            Mpool.incref pool node;
+            Mpool.decref pool node)
+      in
+      let dup =
+        words_per_op (fun i ->
+            Msg.set_u8 m 0 i;
+            Msg.destroy (Msg.dup m))
+      in
+      Alcotest.(check (float 0.01)) "set_u8 words/op" 0.0 set;
+      Alcotest.(check (float 0.01)) "incref+decref words/op" 0.0 refs;
+      (* The copy: message record (4 words), part (4), list cell (3) and
+         the two part-iterator closures (4 each). *)
+      if dup > 19.0 then Alcotest.failf "dup+destroy: %.2f words/op, budget 19" dup)
+
 (* ------------------------------------------------------------------ *)
 (* Buffer arena                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -804,6 +841,8 @@ let suites =
         Alcotest.test_case "large not cached" `Quick test_mpool_large_not_cached;
         Alcotest.test_case "caches are per-thread" `Quick test_mpool_caches_are_per_thread;
         Alcotest.test_case "decref below zero fails" `Quick test_mpool_decref_below_zero_fails;
+        Alcotest.test_case "untraced path allocates nothing" `Quick
+          test_mpool_untraced_no_alloc;
         Alcotest.test_case "arena spares shared buffers" `Quick
           test_arena_shared_buffer_not_recycled;
         Alcotest.test_case "arena recycles at refs zero" `Quick test_arena_recycles_buffers;
