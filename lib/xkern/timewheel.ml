@@ -17,16 +17,19 @@ type t = {
   chain_locks : Lock.t array;
   mutable pending : int;
   mutable fired : int;
-  mutable ticking : bool;
-  mutable next_tick : int;
+  mutable armed : int;
+      (** tick of the engine event that will service the wheel next, or
+          [no_tick] while none is posted *)
 }
+
+let no_tick = max_int
 
 let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~name () =
   if slots <= 0 then invalid_arg "Timewheel.create: slots must be positive";
   let chain_locks =
     Array.init slots (fun i ->
         Lock.create plat.Platform.sim plat.Platform.arch Lock.Unfair
-          ~name:(Printf.sprintf "%s.chain%d" name i))
+          ~name:(name ^ ".chain" ^ string_of_int i))
   in
   {
     plat;
@@ -37,8 +40,7 @@ let create plat ?(slot_ns = Pnp_util.Units.ms 10.0) ?(slots = 128) ?(cpu = 0) ~n
     chain_locks;
     pending = 0;
     fired = 0;
-    ticking = false;
-    next_tick = 0;
+    armed = no_tick;
   }
 
 let nslots t = Array.length t.chains
@@ -47,8 +49,26 @@ let with_chain_lock t i f =
   if Sim.in_thread t.plat.Platform.sim then Lock.with_lock t.chain_locks.(i) f
   else f ()
 
+(* The first tick from [base] on at which a wheel visiting every tick would
+   find [e] due: its own tick, or whole revolutions later if that tick went
+   by unvisited (a service thread overran its slot, or taking the chain
+   lock carried a [schedule] past it). *)
+let due_tick n base e =
+  if e.fire_tick >= base then e.fire_tick
+  else e.fire_tick + ((base - e.fire_tick + n - 1) / n * n)
+
+let rec chain_earliest n base best = function
+  | [] -> best
+  | e :: rest ->
+    let d = due_tick n base e in
+    chain_earliest n base (if d < best then d else best) rest
+
+let rec chain_has_due tick = function
+  | [] -> false
+  | e :: rest -> e.fire_tick <= tick || chain_has_due tick rest
+
 (* Service all due entries of the slot for [tick], then arm the next tick
-   if anything is still pending. *)
+   with work due. *)
 let rec service t tick =
   let slot = tick mod nslots t in
   let due = ref [] in
@@ -69,24 +89,35 @@ let rec service t tick =
     !due;
   arm t
 
+(* The engine event for [tick].  An event whose tick is no longer the armed
+   one was overtaken by an earlier schedule and does nothing; an armed tick
+   whose entries were all cancelled re-arms. *)
+and on_tick t tick =
+  if tick = t.armed then begin
+    t.armed <- no_tick;
+    if chain_has_due tick t.chains.(tick mod nslots t) then
+      ignore
+        (Sim.spawn t.plat.Platform.sim ~cpu:t.cpu
+           ~name:(t.name ^ ".tick" ^ string_of_int tick)
+           (fun () -> service t tick))
+    else arm t
+  end
+
+and post t tick =
+  t.armed <- tick;
+  Sim.at t.plat.Platform.sim (tick * t.slot_ns) (fun () -> on_tick t tick)
+
+(* Post one event at the earliest tick with work due.  Nothing is armed
+   while a service thread runs, so the scan starts at the next tick. *)
 and arm t =
-  if t.pending > 0 && not t.ticking then begin
-    t.ticking <- true;
-    let tick = max t.next_tick ((Sim.now t.plat.Platform.sim / t.slot_ns) + 1) in
-    t.next_tick <- tick;
-    Sim.at t.plat.Platform.sim (tick * t.slot_ns) (fun () ->
-        t.ticking <- false;
-        t.next_tick <- tick + 1;
-        (* Only spin up a worker when the slot has work due; empty ticks
-           just re-arm. *)
-        let slot = tick mod nslots t in
-        let has_due = List.exists (fun e -> e.fire_tick <= tick) t.chains.(slot) in
-        if has_due then
-          ignore
-            (Sim.spawn t.plat.Platform.sim ~cpu:t.cpu
-               ~name:(Printf.sprintf "%s.tick%d" t.name tick)
-               (fun () -> service t tick))
-        else arm t)
+  if t.pending > 0 && t.armed = no_tick then begin
+    let n = nslots t in
+    let base = (Sim.now t.plat.Platform.sim / t.slot_ns) + 1 in
+    let best = ref no_tick in
+    for i = 0 to n - 1 do
+      best := chain_earliest n base !best t.chains.(i)
+    done;
+    if !best <> no_tick then post t !best
   end
 
 let schedule t ~after action =
@@ -97,7 +128,10 @@ let schedule t ~after action =
   let slot = fire_tick mod nslots t in
   with_chain_lock t slot (fun () -> t.chains.(slot) <- e :: t.chains.(slot));
   t.pending <- t.pending + 1;
-  arm t;
+  (if t.armed = no_tick then arm t
+   else
+     let d = due_tick (nslots t) ((Sim.now t.plat.Platform.sim / t.slot_ns) + 1) e in
+     if d < t.armed then post t d);
   e
 
 let cancel t e =

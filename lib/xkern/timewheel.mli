@@ -6,7 +6,13 @@
 
     Expired chains are serviced by short-lived simulated worker threads so
     that timer callbacks (e.g. TCP retransmission) run in a context that
-    may take protocol locks. *)
+    may take protocol locks.
+
+    The wheel is tickless: it posts one engine event per tick with work
+    due and none for empty slots.  That event spawns the tick's service
+    thread, which is the same as if every slot had been visited: empty
+    slots consumed no simulated time, drew no randomness and left no
+    trace. *)
 
 type t
 

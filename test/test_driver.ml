@@ -142,6 +142,30 @@ let test_lossy_link_drops () =
     true
     (Link.dropped link > 25 && Link.dropped link < 75)
 
+(* An idle world: two listening stacks on a link, no traffic.  TCP's fast
+   and slow timers keep an entry pending on each wheel for the whole
+   horizon, so the engine work is all timer servicing; a wheel that posted
+   an event for every 10 ms slot would spend ~18 events per fired entry. *)
+let test_idle_world_event_budget () =
+  let p = plat () in
+  let a = Stack.create p ~local_addr:0x0a000001 () in
+  let b = Stack.create p ~local_addr:0x0a000002 () in
+  let _link = Link.connect p ~a ~b () in
+  let _ =
+    Sim.spawn p.Platform.sim ~cpu:0 ~name:"listen" (fun () ->
+        List.iter
+          (fun s -> Tcp.listen s.Stack.tcp ~local_port:80 ~accept:(fun _ -> ()))
+          [ a; b ])
+  in
+  Sim.run ~until:(Units.sec 300.0) p.Platform.sim;
+  let fired = Timewheel.fired a.Stack.wheel + Timewheel.fired b.Stack.wheel in
+  let events = Sim.events_processed p.Platform.sim in
+  Alcotest.(check bool) "timers fired" true (fired > 4000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d events for %d fired entries: at most 5 each" events fired)
+    true
+    (events <= 5 * fired)
+
 let suites =
   [
     ( "driver.sniffer",
@@ -155,5 +179,6 @@ let suites =
       [
         Alcotest.test_case "accounting" `Quick test_link_accounting;
         Alcotest.test_case "lossy link drops" `Quick test_lossy_link_drops;
+        Alcotest.test_case "idle world event budget" `Quick test_idle_world_event_budget;
       ] );
   ]

@@ -829,6 +829,102 @@ let test_wheel_mass_cancel () =
   Alcotest.(check int) "no cancelled event fired" 0 !fired;
   Alcotest.(check bool) "wheel alive after mass cancel" true !late
 
+let test_wheel_overrun_callback () =
+  (* A callback that outlasts its slot: nothing is armed while it runs, so
+     the tick of an entry due meanwhile goes by unvisited, and the entry
+     fires when the wheel next reaches its slot, one revolution later. *)
+  let p = plat () in
+  let slot = Pnp_util.Units.ms 1.0 in
+  let w = Timewheel.create p ~slot_ns:slot ~slots:8 ~name:"w" () in
+  let late_at = ref 0 in
+  let _ =
+    Sim.spawn p.Platform.sim ~name:"sched" (fun () ->
+        (* due at ticks 1 and 2 *)
+        ignore (Timewheel.schedule w ~after:(slot / 2) (fun () -> Sim.delay p.Platform.sim (3 * slot)));
+        ignore
+          (Timewheel.schedule w ~after:(3 * slot / 2) (fun () -> late_at := Sim.now p.Platform.sim)))
+  in
+  Sim.run p.Platform.sim;
+  Alcotest.(check int) "fired at tick 2 + 8" 10 (!late_at / slot);
+  Alcotest.(check int) "both fired" 2 (Timewheel.fired w)
+
+(* A reference model of wheel timing.  Ops run in one thread at
+   half-slot instants, [gap] slots apart: kinds 0-2 schedule [after] ns
+   ahead (up to five revolutions of the 8-slot, 1 ms wheel), kind 3
+   cancels the earliest pending entry (the one the wheel has armed), kind
+   4 cancels the [after mod n]-th entry scheduled so far.  On an
+   architecture whose locks cost nothing, every surviving callback must
+   run at exactly [fire_tick * slot_ns], with [fire_tick] rounded up to a
+   whole tick and at least the next one; entries sharing a tick fire in
+   chain order, newest first; cancelled entries never run. *)
+let prop_wheel_timing_model =
+  let slot = Pnp_util.Units.ms 1.0 and slots = 8 in
+  QCheck.Test.make ~name:"wheel fires each entry at its tick, newest first" ~count:150
+    QCheck.(
+      list_of_size Gen.(1 -- 60)
+        (triple (int_bound 3) (int_bound (5 * slots * slot)) (int_bound 4)))
+    (fun ops ->
+      let arch = { Arch.challenge_100 with Arch.mutex_ns = 0; handoff_ns = 0; coherency_ns = 0 } in
+      let p = Platform.create arch in
+      let sim = p.Platform.sim in
+      let w = Timewheel.create p ~slot_ns:slot ~slots ~name:"model" () in
+      (* id -> (handle, fire_tick, cancelled) *)
+      let model = Hashtbl.create 64 in
+      let fired = ref [] in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let pending_at now id =
+        let _, tick, cancelled = Hashtbl.find model id in
+        (not cancelled) && tick * slot > now
+      in
+      let cancel now id =
+        let h, tick, _ = Hashtbl.find model id in
+        let pending = pending_at now id in
+        expect (Timewheel.cancel w h = pending);
+        if pending then Hashtbl.replace model id (h, tick, true)
+      in
+      let _ =
+        Sim.spawn sim ~name:"ops" (fun () ->
+            Sim.delay sim (slot / 2);
+            List.iter
+              (fun (gap, after, kind) ->
+                Sim.delay sim (gap * slot);
+                let now = Sim.now sim in
+                let n = Hashtbl.length model in
+                if kind <= 2 then begin
+                  let tick = max ((now + after + slot - 1) / slot) ((now / slot) + 1) in
+                  let h =
+                    Timewheel.schedule w ~after (fun () -> fired := (n, Sim.now sim) :: !fired)
+                  in
+                  Hashtbl.replace model n (h, tick, false)
+                end
+                else if kind = 3 then begin
+                  let earliest = ref None in
+                  for id = n - 1 downto 0 do
+                    if pending_at now id then
+                      let _, tick, _ = Hashtbl.find model id in
+                      match !earliest with
+                      | Some (_, best) when best <= tick -> ()
+                      | _ -> earliest := Some (id, tick)
+                  done;
+                  Option.iter (fun (id, _) -> cancel now id) !earliest
+                end
+                else if n > 0 then cancel now (after mod n))
+              ops)
+      in
+      Sim.run sim;
+      let expected =
+        Hashtbl.fold
+          (fun id (_, tick, cancelled) acc -> if cancelled then acc else (tick, id) :: acc)
+          model []
+        |> List.sort (fun (t1, i1) (t2, i2) -> if t1 <> t2 then compare t1 t2 else compare i2 i1)
+        |> List.map (fun (tick, id) -> (id, tick * slot))
+      in
+      !ok
+      && List.rev !fired = expected
+      && Timewheel.pending w = 0
+      && Timewheel.fired w = List.length expected)
+
 let suites =
   [
     ( "xkern.mpool",
@@ -897,5 +993,7 @@ let suites =
         Alcotest.test_case "cancel after fire" `Quick test_wheel_cancel_after_fire;
         Alcotest.test_case "re-arm inside callback" `Quick test_wheel_rearm_in_callback;
         Alcotest.test_case "mass cancel at teardown" `Quick test_wheel_mass_cancel;
+        Alcotest.test_case "callback overruns its slot" `Quick test_wheel_overrun_callback;
+        Qrand.to_alcotest prop_wheel_timing_model;
       ] );
   ]
