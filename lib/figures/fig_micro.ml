@@ -24,6 +24,7 @@ let checksum_points opts =
       done;
       let horizon = opts.Opts.measure in
       Sim.run ~until:horizon plat.Platform.sim;
+      Hostprof.note_sim plat.Platform.sim;
       let mb_per_s = float_of_int !done_bytes /. 1e6 /. Units.ns_to_sec horizon in
       (procs, mb_per_s))
     (Opts.procs opts)

@@ -288,6 +288,18 @@ let test_scenarios_deterministic () =
   Alcotest.(check string) "same seed, same world" (Overload.to_line a)
     (Overload.to_line b)
 
+(* Host accounting must see worlds built outside [Run]: an incast and a
+   chaos cell each report the events they retired. *)
+let test_host_accounting () =
+  let _, d = Hostprof.measure (fun () -> Overload.incast ~senders:4 ()) in
+  Alcotest.(check bool) "incast events counted" true (d.Hostprof.sim_events > 0);
+  let plan = Option.get (Pnp_faults.Faults.find "chaos") in
+  let _, d =
+    Hostprof.measure (fun () ->
+        Chaos.run_cell ~bytes:8_000 ~datagrams:20 ~plan ~disc:Lock.Fifo ())
+  in
+  Alcotest.(check bool) "chaos cell events counted" true (d.Hostprof.sim_events > 0)
+
 let with_jobs n f =
   let old = Pool.jobs () in
   Pool.set_jobs n;
@@ -347,6 +359,8 @@ let suites =
         Alcotest.test_case "bottleneck fairness" `Quick test_bottleneck_fairness;
         Alcotest.test_case "outcomes are deterministic" `Quick
           test_scenarios_deterministic;
+        Alcotest.test_case "host accounting counts every world" `Quick
+          test_host_accounting;
         Alcotest.test_case "compare matrix" `Quick test_compare_matrix;
       ] );
   ]
