@@ -2,17 +2,19 @@ open Pnp_util
 
 type discipline = Unfair | Fifo | Barging
 
-type waiter = { th : Sim.thread; resume : int -> unit }
-
 type t = {
   sim : Sim.t;
   arch : Arch.t;
   disc : discipline;
   name : string;
   acquire_ns : int;
-  mutable owner : Sim.thread option;
+  mutable owner : Sim.thread; (* [Sim.no_thread] when free *)
   mutable last_cpu : int;
-  mutable waiters : waiter list; (* in arrival order *)
+  (* Parked threads in arrival order: the first [nwaiters] slots of a
+     growable array, so queueing and granting allocate nothing once the
+     array has grown to the lock's peak queue length. *)
+  mutable waiters : Sim.thread array;
+  mutable nwaiters : int;
   mutable hold_start : int;
   mutable acquisitions : int;
   mutable contended : int;
@@ -38,9 +40,10 @@ let create sim arch disc ~name =
     disc;
     name;
     acquire_ns;
-    owner = None;
+    owner = Sim.no_thread;
     last_cpu = -1;
-    waiters = [];
+    waiters = [||];
+    nwaiters = 0;
     hold_start = 0;
     acquisitions = 0;
     contended = 0;
@@ -65,10 +68,20 @@ let migration_ns t th =
     else 0
 
 let become_owner t th ~grant_time =
-  t.owner <- Some th;
+  t.owner <- th;
   t.last_cpu <- Sim.cpu th;
   t.acquisitions <- t.acquisitions + 1;
   t.hold_start <- grant_time
+
+let enqueue t th =
+  let cap = Array.length t.waiters in
+  if t.nwaiters = cap then begin
+    let grown = Array.make (max 4 (2 * cap)) Sim.no_thread in
+    Array.blit t.waiters 0 grown 0 cap;
+    t.waiters <- grown
+  end;
+  t.waiters.(t.nwaiters) <- th;
+  t.nwaiters <- t.nwaiters + 1
 
 let acquire t =
   if Sim.defer_active t.sim then
@@ -85,65 +98,59 @@ let acquire t =
      we learn the outcome; another thread may slip in during it. *)
   Sim.delay t.sim t.acquire_ns;
   if Trace.enabled (Sim.tracer t.sim) then
-    trace t (Trace.Lock_request { lock = t.name; waiters = List.length t.waiters });
-  match t.owner with
-  | None ->
+    trace t (Trace.Lock_request { lock = t.name; waiters = t.nwaiters });
+  if t.owner == Sim.no_thread then begin
     let mig = migration_ns t th in
     become_owner t th ~grant_time:(Sim.now t.sim + mig);
     if Trace.enabled (Sim.tracer t.sim) then
       trace t (Trace.Lock_grant { lock = t.name; waiters = 0; wait_ns = 0 });
     if mig > 0 then Sim.delay t.sim mig
-  | Some _ ->
+  end
+  else begin
     t.contended <- t.contended + 1;
     let enq_time = Sim.now t.sim in
-    Sim.suspend t.sim (fun resume ->
-        t.waiters <- t.waiters @ [ { th; resume } ]);
-    (* Resumed by [release]; ownership and stats were set there. *)
+    enqueue t th;
+    Sim.park t.sim;
+    (* Unparked by [release]; ownership and stats were set there. *)
     let waited = Sim.now t.sim - enq_time in
     t.total_wait_ns <- t.total_wait_ns + waited;
     Sim.note_wait th waited;
     if Trace.enabled (Sim.tracer t.sim) then
       trace t
-        (Trace.Lock_grant
-           { lock = t.name; waiters = List.length t.waiters; wait_ns = waited })
+        (Trace.Lock_grant { lock = t.name; waiters = t.nwaiters; wait_ns = waited })
+  end
   end
 
-(* Remove and return the waiter chosen by the discipline.  Unfair locks
-   model the IRIX mutex: the grant goes to an arbitrary waiter. *)
+(* Remove and return the waiter at index [i], keeping the others in
+   arrival order. *)
+let take_waiter t i =
+  let w = t.waiters.(i) in
+  let n = t.nwaiters - 1 in
+  Array.blit t.waiters (i + 1) t.waiters i (n - i);
+  t.waiters.(n) <- Sim.no_thread;
+  t.nwaiters <- n;
+  w
+
+(* Remove and return the waiter chosen by the discipline, or
+   [Sim.no_thread] when none waits.  Unfair locks model the IRIX mutex:
+   the grant goes to an arbitrary waiter, drawn only when there is a
+   choice. *)
 let pick_waiter t =
-  match t.waiters with
-  | [] -> None
-  | [ w ] ->
-    t.waiters <- [];
-    Some w
-  | ws -> (
+  match t.nwaiters with
+  | 0 -> Sim.no_thread
+  | 1 -> take_waiter t 0
+  | n -> (
     match t.disc with
-    | Fifo ->
-      (match ws with
-       | w :: rest ->
-         t.waiters <- rest;
-         Some w
-       | [] -> None)
-    | Barging ->
-      (* newest arrival wins the test-and-set race *)
-      (match List.rev ws with
-       | w :: rest_rev ->
-         t.waiters <- List.rev rest_rev;
-         Some w
-       | [] -> None)
-    | Unfair ->
-      let i = Prng.int (Sim.prng t.sim) (List.length ws) in
-      let w = List.nth ws i in
-      t.waiters <- List.filteri (fun j _ -> j <> i) ws;
-      Some w)
+    | Fifo -> take_waiter t 0
+    | Barging -> take_waiter t (n - 1) (* newest arrival wins the test-and-set race *)
+    | Unfair -> take_waiter t (Prng.int (Sim.prng t.sim) n))
 
 (* A non-owner release is always a caller bug; name everyone involved so
    the report is actionable without a debugger. *)
 let non_owner_release ~what ~lock ~owner th =
   let owner_desc =
-    match owner with
-    | Some o -> Printf.sprintf "owned by tid %d (%s)" (Sim.tid o) (Sim.thread_name o)
-    | None -> "not held"
+    if owner == Sim.no_thread then "not held"
+    else Printf.sprintf "owned by tid %d (%s)" (Sim.tid owner) (Sim.thread_name owner)
   in
   invalid_arg
     (Printf.sprintf "%s %S: caller tid %d (%s) is not the owner; lock is %s" what lock
@@ -153,30 +160,31 @@ let release t =
   if Sim.defer_active t.sim then ()
   else begin
   let th = Sim.self t.sim in
-  (match t.owner with
-   | Some o when o == th -> ()
-   | owner -> non_owner_release ~what:"Lock.release" ~lock:t.name ~owner th);
+  if t.owner != th then
+    non_owner_release ~what:"Lock.release" ~lock:t.name ~owner:t.owner th;
   let now = Sim.now t.sim in
   t.total_hold_ns <- t.total_hold_ns + (now - t.hold_start);
   if Trace.enabled (Sim.tracer t.sim) then
     trace t (Trace.Lock_release { lock = t.name; hold_ns = now - t.hold_start });
-  match pick_waiter t with
-  | None ->
-    t.owner <- None;
+  let w = pick_waiter t in
+  if w == Sim.no_thread then begin
+    t.owner <- Sim.no_thread;
     t.last_cpu <- Sim.cpu th
-  | Some w ->
-    let mig = migration_ns t w.th in
+  end
+  else begin
+    let mig = migration_ns t w in
     let grant_time = now + t.arch.Arch.handoff_ns + mig in
     if Trace.enabled (Sim.tracer t.sim) then
       trace t
         (Trace.Lock_handoff
            {
              lock = t.name;
-             to_tid = Sim.tid w.th;
+             to_tid = Sim.tid w;
              handoff_ns = t.arch.Arch.handoff_ns + mig;
            });
-    become_owner t w.th ~grant_time;
-    w.resume grant_time
+    become_owner t w ~grant_time;
+    Sim.unpark t.sim w grant_time
+  end
   end
 
 (* Release on both paths without [Fun.protect]'s per-call finaliser
@@ -191,8 +199,7 @@ let with_lock t f =
     release t;
     raise e
 
-let holding t =
-  match t.owner with Some o -> o == Sim.self t.sim | None -> false
+let holding t = t.owner != Sim.no_thread && t.owner == Sim.self t.sim
 
 let acquisitions t = t.acquisitions
 let contended_acquisitions t = t.contended
@@ -206,28 +213,28 @@ let reset_stats t =
   t.total_hold_ns <- 0
 
 module Counting = struct
-  type nonrec t = { lock : t; mutable owner : Sim.thread option; mutable depth : int }
+  type nonrec t = { lock : t; mutable owner : Sim.thread; mutable depth : int }
 
-  let create sim arch disc ~name = { lock = create sim arch disc ~name; owner = None; depth = 0 }
+  let create sim arch disc ~name =
+    { lock = create sim arch disc ~name; owner = Sim.no_thread; depth = 0 }
 
   let acquire t =
     let th = Sim.self t.lock.sim in
-    match t.owner with
-    | Some o when o == th -> t.depth <- t.depth + 1
-    | _ ->
+    if t.owner == th then t.depth <- t.depth + 1
+    else begin
       acquire t.lock;
-      t.owner <- Some th;
+      t.owner <- th;
       t.depth <- 1
+    end
 
   let release t =
     let th = Sim.self t.lock.sim in
-    (match t.owner with
-     | Some o when o == th -> ()
-     | owner ->
-       non_owner_release ~what:"Lock.Counting.release" ~lock:t.lock.name ~owner th);
+    if t.owner != th then
+      non_owner_release ~what:"Lock.Counting.release" ~lock:t.lock.name ~owner:t.owner
+        th;
     t.depth <- t.depth - 1;
     if t.depth = 0 then begin
-      t.owner <- None;
+      t.owner <- Sim.no_thread;
       release t.lock
     end
 

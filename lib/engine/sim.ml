@@ -34,10 +34,14 @@ type t = {
   (* The pending [Delay]'s wake-up time, -1 when none: the effect itself
      carries no payload, so performing it allocates nothing. *)
   mutable wake_at : int;
+  (* Set by [park] just before it performs [Park], so only this world's
+     handler takes the effect. *)
+  mutable parking : bool;
 }
 
 type _ Effect.t +=
   | Delay : unit Effect.t
+  | Park : unit Effect.t
   | Suspend : t * ((int -> unit) -> unit) -> unit Effect.t
 
 (* Resting value of [thread.parked]: a continuation captured once at
@@ -98,6 +102,7 @@ let create ?(seed = 42) () =
     defer_on = false;
     defer_acc = 0;
     wake_at = -1;
+    parking = false;
   }
 
 let now t = t.now
@@ -134,23 +139,31 @@ let run_burst t th f x =
 
 let continue_parked k = Effect.Deep.continue k ()
 
+(* The one wake path, for [park]ed and [suspend]ed threads alike:
+   schedule the thread's resume event.  A thread that is already
+   runnable has been resumed before. *)
+let unpark t th time =
+  if th.runnable then failwith (Printf.sprintf "Sim: thread %S resumed twice" th.name);
+  th.runnable <- true;
+  at t time th.wake
+
 (* Run [f] as the body of [th]: effects performed inside are handled here.
    Each resumption of the thread's continuation happens from an event-loop
    callback, so [t.current] is set for the duration of each burst of
    execution and cleared when the thread suspends or finishes.
 
    Everything a suspension needs is built here, once per thread: the
-   [Delay] branch of the handler and the resume event [th.wake], which
-   continues whatever continuation is parked in [th.parked].  A thread
-   has at most one pending resumption, so one event per thread is
-   enough; a contended [delay] then allocates only the continuation the
-   runtime captures. *)
+   [Delay] and [Park] branches of the handler and the resume event
+   [th.wake], which continues whatever continuation is parked in
+   [th.parked].  A thread has at most one pending resumption, so one
+   event per thread is enough; a contended [delay] or a [park] then
+   allocates only the continuation the runtime captures. *)
 let start_thread t th body =
   let open Effect.Deep in
   (* A fresh generation per suspension: a [resume] carrying an old
      generation (or arriving while the thread is already runnable) is a
      double or stale resume. *)
-  let park k =
+  let block k =
     th.suspend_gen <- th.suspend_gen + 1;
     th.runnable <- false;
     th.parked <- k;
@@ -165,9 +178,15 @@ let start_thread t th body =
       (fun k ->
         let time = t.wake_at in
         t.wake_at <- -1;
-        park k;
+        block k;
         th.runnable <- true;
         at t time th.wake)
+  in
+  let on_park =
+    Some
+      (fun k ->
+        t.parking <- false;
+        block k)
   in
   let handler =
     {
@@ -180,16 +199,16 @@ let start_thread t th body =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
           match eff with
           | Delay when t.wake_at >= 0 -> on_delay
+          | Park when t.parking -> on_park
           | Suspend (owner, register) when owner == t ->
             Some
               (fun k ->
-                park k;
+                block k;
                 let gen = th.suspend_gen in
                 register (fun time ->
-                    if th.runnable || gen <> th.suspend_gen then
+                    if gen <> th.suspend_gen then
                       failwith (Printf.sprintf "Sim: thread %S resumed twice" th.name);
-                    th.runnable <- true;
-                    at t time th.wake))
+                    unpark t th time))
           | _ -> None);
     }
   in
@@ -250,6 +269,12 @@ let suspend t register =
   if t.defer_on then
     failwith "Sim.suspend: blocking operation inside a deferred-charge section";
   Effect.perform (Suspend (t, register))
+
+let park t =
+  if t.defer_on then
+    failwith "Sim.park: blocking operation inside a deferred-charge section";
+  t.parking <- true;
+  Effect.perform Park
 
 (* Deferred charging: between [defer_begin] and [defer_end] every [delay]
    (and [yield]) accumulates into a counter instead of consuming simulated

@@ -16,6 +16,11 @@ type t
 type thread
 (** A simulated thread. *)
 
+val no_thread : thread
+(** A sentinel that is never a live thread: the resting value of a
+    thread-typed slot (a lock's owner), so the slot needs no option
+    box.  Compare against it with [==]. *)
+
 val create : ?seed:int -> unit -> t
 (** Fresh world at time 0.  [seed] initialises the world's PRNG (used by
     unfair lock grants and workload jitter). *)
@@ -76,6 +81,19 @@ val suspend : t -> ((Pnp_util.Units.ns -> unit) -> unit) -> unit
     [resume time] to schedule the thread to continue at absolute [time].
     @raise Failure from [resume] on a second call, or on a call after the
     thread has been resumed and suspended again (a stale resume). *)
+
+val park : t -> unit
+(** [park t] blocks the calling thread until some party calls {!unpark}
+    on it.  The closure-free counterpart of {!suspend} for callers that
+    keep the blocked thread itself (a lock's waiter queue): beyond the
+    continuation the runtime captures it allocates nothing.
+    @raise Failure inside a deferred-charge section. *)
+
+val unpark : t -> thread -> Pnp_util.Units.ns -> unit
+(** [unpark t th time] schedules the blocked thread [th] to continue at
+    absolute [time].  The resume functions {!suspend} hands out wake
+    through it too.
+    @raise Failure if [th] is not blocked (it was resumed already). *)
 
 val yield : t -> unit
 (** Reschedule the calling thread at the current time, letting other

@@ -14,11 +14,19 @@
    ("stack count" per line) that flamegraph.pl, speedscope and most
    flamegraph viewers consume directly.
 
-   Caveats, stated rather than hidden: samples land on safe points, so
-   allocation-free loops under-sample (the sift loops in Eventq bias
-   toward their callers), and frame names come from debug info —
-   functions inlined by flambda-less OCaml keep their names, which is
-   the common case for this repo's builds. *)
+   Runtime leaves are folded into their caller.  A sample often lands
+   in a frame with neither a name nor a location (runtime code reached
+   from an allocation, an effect or a poll), which collapses to "?".  A run of such frames at the leaf end becomes one frame
+   "[runtime] <Caller>", named after the nearest named OCaml frame
+   above it, so the self time is charged to code that can be changed.
+
+   Caveats, stated rather than hidden: samples land on safe points
+   (allocations and loop polls), where the runtime handles the signal,
+   so allocating code is over-represented and allocation-free loops
+   under-sample (the sift loops in Eventq bias toward their callers);
+   and frame names come from debug info — functions inlined by
+   flambda-less OCaml keep their names, which is the common case for
+   this repo's builds. *)
 
 type t = {
   counts : (string, int ref) Hashtbl.t;
@@ -31,34 +39,48 @@ let max_depth = 64
 (* One profiler can run at a time (SIGPROF is process-wide). *)
 let active : t option ref = ref None
 
+let runtime_leaf = "?"
+
 let frame_name slot =
   match Printexc.Slot.name slot with
   | Some n -> n
   | None -> (
     match Printexc.Slot.location slot with
     | Some loc -> Printf.sprintf "%s:%d" loc.Printexc.filename loc.Printexc.line_number
-    | None -> "?")
+    | None -> runtime_leaf)
+
+(* [names] runs outermost first.  A trailing run of unnamed frames
+   becomes "[runtime] <Caller>" under its nearest named caller; a stack
+   with no named frame at all is left as it is. *)
+let fold_runtime_leaves names =
+  let rec drop = function f :: rest when f = runtime_leaf -> drop rest | rest -> rest in
+  match List.rev names with
+  | f :: _ as leaf_first when f = runtime_leaf -> (
+    match drop leaf_first with
+    | [] -> names
+    | caller :: _ as rest -> List.rev (("[runtime] " ^ caller) :: rest))
+  | _ -> names
 
 let record t raw =
   t.samples <- t.samples + 1;
   let n = Printexc.raw_backtrace_length raw in
   if n >= max_depth then t.truncated <- t.truncated + 1;
-  let buf = Buffer.create 256 in
-  (* Deepest frame last in the collapsed line: walk the raw backtrace
-     from outermost (index n-1) to the leaf (index 0). *)
-  for i = n - 1 downto 0 do
+  (* Walk from the leaf (index 0) outwards, consing, so [names] ends up
+     outermost first, the order of a collapsed line. *)
+  let names = ref [] in
+  for i = 0 to n - 1 do
     let entry = Printexc.get_raw_backtrace_slot raw i in
     let slot = Printexc.convert_raw_backtrace_slot entry in
     let name = frame_name slot in
     (* The handler's own frames sit below the program's; drop them. *)
-    if not (String.length name >= 9 && String.sub name 0 9 = "Pnp_harne" &&
-            (name = "Pnp_harness__Profiler.handler" || name = "Pnp_harness__Profiler.record"))
-    then begin
-      if Buffer.length buf > 0 then Buffer.add_char buf ';';
-      Buffer.add_string buf name
-    end
+    if name <> "Pnp_harness__Profiler.handler" && name <> "Pnp_harness__Profiler.record"
+    then names := name :: !names
   done;
-  let key = if Buffer.length buf = 0 then "(unknown)" else Buffer.contents buf in
+  let key =
+    match fold_runtime_leaves !names with
+    | [] -> "(unknown)"
+    | frames -> String.concat ";" frames
+  in
   match Hashtbl.find_opt t.counts key with
   | Some r -> incr r
   | None -> Hashtbl.replace t.counts key (ref 1)
@@ -91,16 +113,18 @@ let stop t =
 
 let samples t = t.samples
 
-(* Collapsed-stacks output, heaviest stack first so a plain `sort | head`
-   or an eyeball both work without tooling. *)
-let write t file =
+(* Heaviest stack first, so a plain `sort | head` or an eyeball both
+   work on the written file without tooling. *)
+let stacks t =
   let rows = Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t.counts [] in
-  let rows = List.sort (fun (_, a) (_, b) -> compare b a) rows in
+  List.sort (fun (_, a) (_, b) -> compare b a) rows
+
+let write t file =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      List.iter (fun (stack, n) -> Printf.fprintf oc "%s %d\n" stack n) rows)
+      List.iter (fun (stack, n) -> Printf.fprintf oc "%s %d\n" stack n) (stacks t))
 
 (* Run [f] under the profiler and write the profile; returns [f ()]'s
    result and the sample count. *)

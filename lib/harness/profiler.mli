@@ -9,9 +9,15 @@
 
     Sampling is process-wide (SIGPROF has one handler), so only one
     profiler may run at a time; [start] raises [Invalid_argument] if one
-    is active.  Samples land on OCaml safe points, which biases tight
-    allocation-free loops toward their callers — good enough to rank
-    subsystems, not to time individual instructions. *)
+    is active.
+
+    Samples land on OCaml safe points (allocations and loop polls),
+    where the runtime handles the signal.  Allocating code is therefore
+    over-represented and tight allocation-free loops under-sample,
+    toward their callers — good enough to rank subsystems, not to time
+    individual instructions.  Unnamed runtime frames at the leaf end of
+    a stack are folded into one ["[runtime] <Caller>"] frame under the
+    nearest named OCaml caller ({!fold_runtime_leaves}). *)
 
 type t
 
@@ -23,6 +29,16 @@ val stop : t -> int
     Returns the number of samples collected. *)
 
 val samples : t -> int
+
+val stacks : t -> (string * int) list
+(** The collapsed stacks recorded so far with their sample counts,
+    heaviest first. *)
+
+val fold_runtime_leaves : string list -> string list
+(** [fold_runtime_leaves frames] (outermost first) replaces a trailing
+    run of unnamed ["?"] frames with one ["[runtime] <Caller>"] frame,
+    [<Caller>] being the nearest named frame above the run.  Stacks with
+    no unnamed leaf, or no named frame at all, are returned unchanged. *)
 
 val write : t -> string -> unit
 (** Write collapsed-stacks lines to a file, heaviest stack first. *)

@@ -29,14 +29,19 @@ let flags_to_int f =
   lor (if f.psh then 8 else 0)
   lor if f.ack then 16 else 0
 
-let flags_of_int i =
-  {
-    fin = i land 1 <> 0;
-    syn = i land 2 <> 0;
-    rst = i land 4 <> 0;
-    psh = i land 8 <> 0;
-    ack = i land 16 <> 0;
-  }
+(* Every decoded segment needs its flags record; the five bits give only
+   32 distinct records, so decode hands out prebuilt ones. *)
+let flags_table =
+  Array.init 32 (fun i ->
+      {
+        fin = i land 1 <> 0;
+        syn = i land 2 <> 0;
+        rst = i land 4 <> 0;
+        psh = i land 8 <> 0;
+        ack = i land 16 <> 0;
+      })
+
+let flags_of_int i = flags_table.(i land 31)
 
 let encode msg h =
   Msg.push msg header_bytes;

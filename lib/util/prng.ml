@@ -1,19 +1,27 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in an 8-byte buffer: a [mutable int64]
+   field would box a fresh Int64 on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let create seed = of_state (Int64.of_int seed)
+
+(* Inlined so the draws below use the result unboxed.  Callers in other
+   modules get a boxed Int64 wherever the library is built [-opaque]
+   (dune's dev profile). *)
+let[@inline] bits64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let split t = of_state (bits64 t)
 
 (* Non-negative 62-bit int from the top bits, avoiding sign issues. *)
 let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
@@ -24,17 +32,16 @@ let positive_int t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
    average even for the worst-case bound. *)
 let max62 = (1 lsl 61) - 1 + (1 lsl 61) (* 2^62 - 1 without overflowing *)
 
+let rec draw_below t bound threshold =
+  let x = positive_int t in
+  if x > threshold then draw_below t bound threshold else x mod bound
+
 let int t bound =
   assert (bound > 0);
   let r = ((max62 mod bound) + 1) mod bound in
   (* Largest multiple of bound in [0, 2^62) is max62 - r + 1; draws at or
      above it are biased and rejected. *)
-  let threshold = max62 - r in
-  let rec go () =
-    let x = positive_int t in
-    if x > threshold then go () else x mod bound
-  in
-  go ()
+  draw_below t bound (max62 - r)
 
 let float t bound =
   let f = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in

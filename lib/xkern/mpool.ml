@@ -31,10 +31,12 @@ let cache_limit = 64
 
 exception Out_of_mnodes of { requested : int; live : int; capacity : int }
 
-(* One thread's free cache: a LIFO per size class, with the depth kept
-   alongside so the free path never walks the list to count it. *)
+(* One thread's free cache: a LIFO array stack per size class, with its
+   depth.  A class's stack is created on the thread's first free into
+   it, filled with that node, so a cache hit or a free allocates
+   nothing and threads that never free pay nothing. *)
 type tid_cache = {
-  nodes : mnode list array; (* per-class LIFO *)
+  stacks : mnode array array; (* per class; [||] until the first free *)
   depths : int array;
 }
 
@@ -142,7 +144,7 @@ let create ?(capacity = max_int) ?soft_watermark plat =
 let grow_caches t tid =
   t.cache_table_growths <- t.cache_table_growths + 1;
   let cap = max 16 (max (tid + 1) (2 * Array.length t.caches)) in
-  let fresh () = { nodes = Array.make 2 []; depths = Array.make 2 0 } in
+  let fresh () = { stacks = Array.make 2 [||]; depths = Array.make 2 0 } in
   let table = Array.init cap (fun i ->
       if i < Array.length t.caches then t.caches.(i) else fresh ())
   in
@@ -259,10 +261,10 @@ let alloc t n =
   end
   else begin
     let cache = thread_cache t in
-    match cache.nodes.(cls) with
-    | node :: rest ->
-      cache.nodes.(cls) <- rest;
-      cache.depths.(cls) <- cache.depths.(cls) - 1;
+    let depth = cache.depths.(cls) in
+    if depth > 0 then begin
+      let node = cache.stacks.(cls).(depth - 1) in
+      cache.depths.(cls) <- depth - 1;
       t.cache_hits <- t.cache_hits + 1;
       if tracing t then trace_node t (Trace.Mpool_alloc { hit = true });
       Platform.charge_instrs t.plat cache_hit_instrs;
@@ -271,9 +273,11 @@ let alloc t n =
          reference taken on a live node, so it traces as an alloc. *)
       if tracing t then trace_node t (Trace.Mnode_alloc { node = node.id });
       node
-    | [] ->
+    end
+    else begin
       if tracing t then trace_node t (Trace.Mpool_alloc { hit = false });
       global_alloc t n cls
+    end
   end
 
 let incref t node =
@@ -302,10 +306,13 @@ let decref t node =
     if use_cache then begin
       let cache = thread_cache t in
       let cls = node.size_class in
-      if cache.depths.(cls) < cache_limit then begin
+      let depth = cache.depths.(cls) in
+      if depth < cache_limit then begin
         Platform.charge_instrs t.plat cache_hit_instrs;
-        cache.nodes.(cls) <- node :: cache.nodes.(cls);
-        cache.depths.(cls) <- cache.depths.(cls) + 1
+        if Array.length cache.stacks.(cls) = 0 then
+          cache.stacks.(cls) <- Array.make cache_limit node
+        else cache.stacks.(cls).(depth) <- node;
+        cache.depths.(cls) <- depth + 1
       end
       else begin
         global_free t;

@@ -29,31 +29,36 @@ let push t n =
     t.total <- t.total + n
   end
 
-(* Single-part messages dominate the hot paths (a header node pushed on a
-   payload node is consumed part by part), so [pop]/[truncate] and the
-   byte accessors below special-case one-part messages: adjust the part
-   in place, no list walk, no tuple from [locate]. *)
+(* The part-list walkers ([strip], [release_parts], [keep], [dup_parts])
+   are top-level functions taking the pool as an argument, so a
+   multi-part pop, truncate, dup or destroy builds no closure.
+
+   [strip] drops [n] bytes off the front of [parts], releasing emptied
+   nodes. *)
+let rec strip pool n parts =
+  if n = 0 then parts
+  else
+    match parts with
+    | [] -> assert false
+    | p :: rest ->
+      if p.len <= n then begin
+        Mpool.decref pool p.node;
+        strip pool (n - p.len) rest
+      end
+      else begin
+        p.off <- p.off + n;
+        p.len <- p.len - n;
+        parts
+      end
 
 let pop_slow t n =
-  let rec strip n parts =
-    if n = 0 then parts
-    else
-      match parts with
-      | [] -> assert false
-      | p :: rest ->
-        if p.len <= n then begin
-          Mpool.decref t.pool p.node;
-          strip (n - p.len) rest
-        end
-        else begin
-          p.off <- p.off + n;
-          p.len <- p.len - n;
-          parts
-        end
-  in
-  t.parts <- strip n t.parts;
+  t.parts <- strip t.pool n t.parts;
   t.total <- t.total - n
 
+(* Single-part messages dominate the hot paths (a header node pushed on a
+   payload node is consumed part by part), so [pop]/[truncate]
+   special-case one-part messages: adjust the part in place, no list
+   walk. *)
 let pop t n =
   if n < 0 || n > t.total then invalid_arg "Msg.pop: bad length";
   match t.parts with
@@ -63,23 +68,29 @@ let pop t n =
     t.total <- t.total - n
   | _ -> pop_slow t n
 
+let rec release_parts pool = function
+  | [] -> ()
+  | p :: rest ->
+    Mpool.decref pool p.node;
+    release_parts pool rest
+
+let rec keep pool n parts =
+  if n = 0 then begin
+    release_parts pool parts;
+    []
+  end
+  else
+    match parts with
+    | [] -> assert false
+    | p :: rest ->
+      if p.len <= n then p :: keep pool (n - p.len) rest
+      else begin
+        p.len <- n;
+        p :: keep pool 0 rest
+      end
+
 let truncate_slow t n =
-  let rec keep n parts =
-    if n = 0 then begin
-      List.iter (fun p -> Mpool.decref t.pool p.node) parts;
-      []
-    end
-    else
-      match parts with
-      | [] -> assert false
-      | p :: rest ->
-        if p.len <= n then p :: keep (n - p.len) rest
-        else begin
-          p.len <- n;
-          p :: keep 0 rest
-        end
-  in
-  t.parts <- keep n t.parts;
+  t.parts <- keep t.pool n t.parts;
   t.total <- n
 
 let truncate t n =
@@ -90,15 +101,13 @@ let truncate t n =
     t.total <- n
   | _ -> truncate_slow t n
 
-let dup t =
-  let parts =
-    List.map
-      (fun p ->
-        Mpool.incref t.pool p.node;
-        { node = p.node; off = p.off; len = p.len })
-      t.parts
-  in
-  { pool = t.pool; parts; total = t.total }
+let rec dup_parts pool = function
+  | [] -> []
+  | p :: rest ->
+    Mpool.incref pool p.node;
+    { node = p.node; off = p.off; len = p.len } :: dup_parts pool rest
+
+let dup t = { pool = t.pool; parts = dup_parts t.pool t.parts; total = t.total }
 
 let append t u =
   if t == u then invalid_arg "Msg.append: cannot append a message to itself";
@@ -108,7 +117,7 @@ let append t u =
   u.total <- 0
 
 let destroy t =
-  List.iter (fun p -> Mpool.decref t.pool p.node) t.parts;
+  release_parts t.pool t.parts;
   t.parts <- [];
   t.total <- 0
 
@@ -133,103 +142,74 @@ let unshare t ~off =
     p.off <- 0
   end
 
-(* Locate message offset [off]: the part containing it and the index
-   within that part's view. *)
-let rec locate parts off =
+(* Byte access.  [get_be]/[set_be] walk to the part holding message
+   offset [off] and load or store a [width]-byte big-endian value there.
+   The first step looks at the head part, which is where a header lives
+   whether or not a payload follows it, so a header access costs one
+   compare and a direct load or store.  A range that straddles a part
+   boundary splits in halves (u32 into two u16, u16 into two u8), each
+   located afresh.  Nothing here builds a tuple or a closure. *)
+
+let load_be b j width =
+  match width with
+  | 1 -> Bytes.get_uint8 b j
+  | 2 -> Bytes.get_uint16_be b j
+  | _ -> (Bytes.get_uint16_be b j lsl 16) lor Bytes.get_uint16_be b (j + 2)
+
+let rec get_be parts off width =
   match parts with
   | [] -> invalid_arg "Msg: offset out of bounds"
-  | p :: rest -> if off < p.len then (p, off) else locate rest (off - p.len)
+  | p :: rest ->
+    if off >= p.len then get_be rest (off - p.len) width
+    else if off + width <= p.len then load_be (Mpool.data p.node) (p.off + off) width
+    else
+      let h = width / 2 in
+      (get_be parts off h lsl (8 * h)) lor get_be parts (off + h) h
+
+let rec set_be pool parts off width v =
+  match parts with
+  | [] -> invalid_arg "Msg: offset out of bounds"
+  | p :: rest ->
+    if off >= p.len then set_be pool rest (off - p.len) width v
+    else if off + width <= p.len then begin
+      Mpool.bump_gen pool p.node;
+      let b = Mpool.data p.node and j = p.off + off in
+      match width with
+      | 1 -> Bytes.set_uint8 b j (v land 0xff)
+      | 2 -> Bytes.set_uint16_be b j (v land 0xffff)
+      | _ ->
+        Bytes.set_uint16_be b j ((v lsr 16) land 0xffff);
+        Bytes.set_uint16_be b (j + 2) (v land 0xffff)
+    end
+    else begin
+      let h = width / 2 in
+      set_be pool parts off h (v lsr (8 * h));
+      set_be pool parts (off + h) h v
+    end
 
 let get_u8 t off =
   if off < 0 || off >= t.total then invalid_arg "Msg.get_u8: out of bounds";
-  match t.parts with
-  | [ p ] -> Char.code (Bytes.get (Mpool.data p.node) (p.off + off))
-  | parts ->
-    let p, i = locate parts off in
-    Char.code (Bytes.get (Mpool.data p.node) (p.off + i))
+  get_be t.parts off 1
 
 let set_u8 t off v =
   if off < 0 || off >= t.total then invalid_arg "Msg.set_u8: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    Mpool.bump_gen t.pool p.node;
-    Bytes.set (Mpool.data p.node) (p.off + off) (Char.chr (v land 0xff))
-  | parts ->
-    let p, i = locate parts off in
-    Mpool.bump_gen t.pool p.node;
-    Bytes.set (Mpool.data p.node) (p.off + i) (Char.chr (v land 0xff))
-
-(* Multi-byte accessors take a single-part fast path (no [locate], no
-   tuple) when the message is one part — the overwhelmingly common case,
-   since headers live in a single pushed node.  Multi-part messages
-   locate the containing part once and fall back to the byte path only
-   when the range straddles a part boundary.  The original code walked
-   the part list once per byte: four list walks for a u32. *)
+  set_be t.pool t.parts off 1 v
 
 let get_u16 t off =
   if off < 0 || off + 2 > t.total then invalid_arg "Msg.get_u16: out of bounds";
-  match t.parts with
-  | [ p ] -> Bytes.get_uint16_be (Mpool.data p.node) (p.off + off)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 2 <= p.len then Bytes.get_uint16_be (Mpool.data p.node) (p.off + i)
-    else (get_u8 t off lsl 8) lor get_u8 t (off + 1)
+  get_be t.parts off 2
 
 let set_u16 t off v =
   if off < 0 || off + 2 > t.total then invalid_arg "Msg.set_u16: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    Mpool.bump_gen t.pool p.node;
-    Bytes.set_uint16_be (Mpool.data p.node) (p.off + off) (v land 0xffff)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 2 <= p.len then begin
-      Mpool.bump_gen t.pool p.node;
-      Bytes.set_uint16_be (Mpool.data p.node) (p.off + i) (v land 0xffff)
-    end
-    else begin
-      set_u8 t off (v lsr 8);
-      set_u8 t (off + 1) v
-    end
+  set_be t.pool t.parts off 2 v
 
 let get_u32 t off =
   if off < 0 || off + 4 > t.total then invalid_arg "Msg.get_u32: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    let b = Mpool.data p.node in
-    let j = p.off + off in
-    (Bytes.get_uint16_be b j lsl 16) lor Bytes.get_uint16_be b (j + 2)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 4 <= p.len then begin
-      let b = Mpool.data p.node in
-      let j = p.off + i in
-      (Bytes.get_uint16_be b j lsl 16) lor Bytes.get_uint16_be b (j + 2)
-    end
-    else (get_u16 t off lsl 16) lor get_u16 t (off + 2)
+  get_be t.parts off 4
 
 let set_u32 t off v =
   if off < 0 || off + 4 > t.total then invalid_arg "Msg.set_u32: out of bounds";
-  match t.parts with
-  | [ p ] ->
-    Mpool.bump_gen t.pool p.node;
-    let b = Mpool.data p.node in
-    let j = p.off + off in
-    Bytes.set_uint16_be b j ((v lsr 16) land 0xffff);
-    Bytes.set_uint16_be b (j + 2) (v land 0xffff)
-  | parts ->
-    let p, i = locate parts off in
-    if i + 4 <= p.len then begin
-      Mpool.bump_gen t.pool p.node;
-      let b = Mpool.data p.node in
-      let j = p.off + i in
-      Bytes.set_uint16_be b j ((v lsr 16) land 0xffff);
-      Bytes.set_uint16_be b (j + 2) (v land 0xffff)
-    end
-    else begin
-      set_u16 t off (v lsr 16);
-      set_u16 t (off + 2) v
-    end
+  set_be t.pool t.parts off 4 v
 
 let head_view t ~len =
   match t.parts with
@@ -241,6 +221,14 @@ let iter_slices t f =
 
 let iter_parts t f =
   List.iter (fun p -> if p.len > 0 then f p.node p.off p.len) t.parts
+
+let rec fold_list f acc = function
+  | [] -> acc
+  | p :: rest ->
+    let acc = if p.len > 0 then f acc p.node p.off p.len else acc in
+    fold_list f acc rest
+
+let fold_parts t f acc = fold_list f acc t.parts
 
 let blit_to_bytes t buf =
   (* lint:allow msg-bump-gen: writes into the caller's buffer, never node bytes *)

@@ -56,10 +56,10 @@ val destroy : t -> unit
 (** {2 Byte access}
 
     Offsets are message-relative.  Multi-byte accessors are big-endian
-    (network order) and may span node boundaries; when the whole range
-    lies inside one node (the common case for headers) they locate the
-    node once and use direct 16-bit loads/stores instead of one
-    part-list walk per byte. *)
+    (network order) and may span node boundaries.  A range inside the
+    first part (a header, also after it was pushed onto a payload) is a
+    bounds compare and a direct load or store; ranges further in walk
+    the part list once.  None of them allocates. *)
 
 val get_u8 : t -> int -> int
 val set_u8 : t -> int -> int -> unit
@@ -93,11 +93,14 @@ val iter_slices : t -> (Bytes.t -> int -> int -> unit) -> unit
 (** Apply the function to each underlying (buffer, offset, length) slice in
     order; used by the checksum. *)
 
-val iter_parts : t -> (Mpool.mnode -> int -> int -> unit) -> unit
-(** Like {!iter_slices} but exposing the node, so callers can consult
-    the per-node checksum-sum memo ({!Mpool.cached_sum}).  Treat the
-    node's bytes as read-only: writes that bypass the [Msg] mutators do
-    not bump the write generation and would poison the memo. *)
+val fold_parts : t -> ('a -> Mpool.mnode -> int -> int -> 'a) -> 'a -> 'a
+(** [fold_parts t f acc] folds [f acc node off len] over the non-empty
+    parts in order, exposing each node so callers can consult the
+    per-node checksum-sum memo ({!Mpool.cached_sum}).  Treat the node's
+    bytes as read-only: writes that bypass the [Msg] mutators do not
+    bump the write generation and would poison the memo.  With a closed
+    top-level [f] and an immediate accumulator the fold allocates
+    nothing. *)
 
 val parts : t -> int
 (** Number of underlying node views (observability). *)

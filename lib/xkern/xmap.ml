@@ -186,46 +186,63 @@ module Make (K : KEY) = struct
         (tslot t).t_behind <- Some (k, v);
         if sh.size > grow_load * Array.length sh.buckets then grow_shard t sh)
 
-  let chain_find t sh i k =
-    let rec walk pos = function
-      | [] ->
-        Platform.charge_instrs t.plat (hash_instrs + (link_instrs * pos));
-        None
-      | (k', v) :: rest ->
-        if K.equal k k' then begin
-          Platform.charge_instrs t.plat (hash_instrs + (link_instrs * (pos + 1)));
-          Some (k', v)
-        end
-        else walk (pos + 1) rest
-    in
-    walk 0 sh.buckets.(i)
+  (* Walk one chain for [k], charging the hash plus one link per element
+     examined.  Returns the chain's own binding, so a hit builds only the
+     [Some]. *)
+  let rec chain_walk t k pos = function
+    | [] ->
+      Platform.charge_instrs t.plat (hash_instrs + (link_instrs * pos));
+      None
+    | ((k', _) as binding) :: rest ->
+      if K.equal k k' then begin
+        Platform.charge_instrs t.plat (hash_instrs + (link_instrs * (pos + 1)));
+        Some binding
+      end
+      else chain_walk t k (pos + 1) rest
+
+  let chain_find t sh i k = chain_walk t k 0 sh.buckets.(i)
+
+  let lookup_shard t sh h k =
+    sh.lookups <- sh.lookups + 1;
+    Platform.charge_instrs t.plat cache_probe_instrs;
+    access t sh ~write:false;
+    match sh.one_behind with
+    | Some (k', v) when K.equal k k' ->
+      sh.cache_hits <- sh.cache_hits + 1;
+      Some v
+    | _ -> (
+      match chain_find t sh (bindex t sh h) k with
+      | Some (_, v) as found ->
+        access t sh ~write:true;
+        sh.one_behind <- found;
+        Some v
+      | None -> None)
 
   (* The locked lookup keeps the shared per-shard 1-behind cache and
-     counters, all under the shard lock.  When the platform disables map
-     locking (the Section 3.1 aside) the lookup runs lock-free and uses
-     only its thread's private slot — the chain read itself is the
-     intentionally unserialised demux read the experiment measures, but
-     the bookkeeping no longer writes shared state from the unlocked
+     counters, all under the shard lock, taken and released inline (no
+     per-call closure) with the release also on the exception path, as
+     in [Lock.with_lock].  When the platform disables map locking (the
+     Section 3.1 aside) the lookup runs lock-free and uses only its
+     thread's private slot — the chain read itself is the intentionally
+     unserialised demux read the experiment measures, but the
+     bookkeeping no longer writes shared state from the unlocked
      path. *)
   let lookup t k =
     let h = hashv k in
     let sh = shard_of t h in
-    if t.plat.Platform.map_locking then
-      locked t sh (fun () ->
-          sh.lookups <- sh.lookups + 1;
-          Platform.charge_instrs t.plat cache_probe_instrs;
-          access t sh ~write:false;
-          match sh.one_behind with
-          | Some (k', v) when K.equal k k' ->
-            sh.cache_hits <- sh.cache_hits + 1;
-            Some v
-          | _ -> (
-            match chain_find t sh (bindex t sh h) k with
-            | Some ((_, v) as binding) ->
-              access t sh ~write:true;
-              sh.one_behind <- Some binding;
-              Some v
-            | None -> None))
+    if t.plat.Platform.map_locking then begin
+      if Sim.in_thread t.plat.Platform.sim then begin
+        Lock.Counting.acquire sh.lock;
+        match lookup_shard t sh h k with
+        | v ->
+          Lock.Counting.release sh.lock;
+          v
+        | exception e ->
+          Lock.Counting.release sh.lock;
+          raise e
+      end
+      else lookup_shard t sh h k
+    end
     else begin
       let s = tslot t in
       s.t_lookups <- s.t_lookups + 1;
@@ -236,8 +253,8 @@ module Make (K : KEY) = struct
         Some v
       | _ -> (
         match chain_find t sh (bindex t sh h) k with
-        | Some ((_, v) as binding) ->
-          s.t_behind <- Some binding;
+        | Some (_, v) as found ->
+          s.t_behind <- found;
           Some v
         | None -> None)
     end

@@ -227,6 +227,21 @@ let test_sim_stale_resume_fails () =
   Sim.run sim;
   Alcotest.(check int) "woken by the live resume" 50 (Sim.now sim)
 
+(* [park]/[unpark]: the thread continues at the unpark time, and a
+   second unpark of a thread no longer parked fails like a double
+   resume. *)
+let test_sim_park_unpark () =
+  let sim = Sim.create () in
+  let woke = ref (-1) in
+  let th = Sim.spawn sim ~name:"p" (fun () -> Sim.park sim; woke := Sim.now sim) in
+  Sim.at sim 10 (fun () ->
+      Sim.unpark sim th 25;
+      match Sim.unpark sim th 30 with
+      | () -> Alcotest.fail "second unpark should fail"
+      | exception Failure _ -> ());
+  Sim.run sim;
+  Alcotest.(check int) "resumed at the unpark time" 25 !woke
+
 (* A contended [delay] (another thread's event pending first, so no
    in-place clock advance) allocates only the continuation the runtime
    captures: no effect payload, no closure per resume.  That block is 2
@@ -868,6 +883,73 @@ let prop_random_lock_programs =
            locks
       && List.length (Sim.blocked_threads sim) = 0)
 
+(* The list-based waiter queue the lock used before its array queue,
+   kept as the reference model: waiters in arrival order; Fifo takes the
+   oldest, Barging the newest, Unfair a [Prng.int]-drawn index, drawing
+   only when there is a choice. *)
+let reference_pick disc prng ws =
+  match ws with
+  | [] -> (None, [])
+  | [ w ] -> (Some w, [])
+  | ws -> (
+    match disc with
+    | Lock.Fifo -> (Some (List.hd ws), List.tl ws)
+    | Lock.Barging -> (
+      match List.rev ws with
+      | w :: rest_rev -> (Some w, List.rev rest_rev)
+      | [] -> assert false)
+    | Lock.Unfair ->
+      let i = Prng.int prng (List.length ws) in
+      (Some (List.nth ws i), List.filteri (fun j _ -> j <> i) ws))
+
+(* Random arrival and hold sequences on one lock, traced.  Replaying the
+   trace's requests and releases through [reference_pick] (with a Prng
+   seeded like the world's, which nothing else here draws from) must
+   predict every hand-off, and no hand-off where the model's queue is
+   empty. *)
+let prop_lock_grant_order_matches_model =
+  QCheck.Test.make ~name:"lock grant order matches the list-queue model" ~count:100
+    QCheck.(
+      triple (int_bound 10_000) (int_bound 2)
+        (list_of_size Gen.(2 -- 8)
+           (list_of_size Gen.(1 -- 10) (pair (int_bound 300) (int_bound 300)))))
+    (fun (seed, d, programs) ->
+      let disc = match d with 0 -> Lock.Unfair | 1 -> Lock.Fifo | _ -> Lock.Barging in
+      let sim = Sim.create ~seed () in
+      Trace.enable (Sim.tracer sim);
+      let lock = Lock.create sim arch disc ~name:"l" in
+      List.iteri
+        (fun ti prog ->
+          ignore
+            (Sim.spawn sim ~cpu:ti ~name:(Printf.sprintf "t%d" ti) (fun () ->
+                 List.iter
+                   (fun (gap, hold) ->
+                     Sim.delay sim gap;
+                     Lock.acquire lock;
+                     Sim.delay sim (1 + hold);
+                     Lock.release lock)
+                   prog)))
+        programs;
+      Sim.run sim;
+      let prng = Prng.create seed in
+      let held = ref false and waiters = ref [] and expect = ref None and ok = ref true in
+      Trace.iter (Sim.tracer sim) (fun r ->
+          match r.Trace.ev with
+          | Trace.Lock_request _ ->
+            if !expect <> None then ok := false;
+            if !held then waiters := !waiters @ [ r.Trace.tid ] else held := true
+          | Trace.Lock_release _ ->
+            if !expect <> None then ok := false;
+            let next, rest = reference_pick disc prng !waiters in
+            waiters := rest;
+            held := next <> None;
+            expect := next
+          | Trace.Lock_handoff { to_tid; _ } ->
+            if !expect <> Some to_tid then ok := false;
+            expect := None
+          | _ -> ());
+      !ok && !expect = None && !waiters = [])
+
 (* Every permutation of gate usage serves tickets strictly in order. *)
 let prop_gate_serves_in_order =
   QCheck.Test.make ~name:"gate always serves tickets in order" ~count:60
@@ -921,6 +1003,7 @@ let suites =
         Alcotest.test_case "suspend/resume" `Quick test_sim_suspend_resume;
         Alcotest.test_case "double resume fails" `Quick test_sim_double_resume_fails;
         Alcotest.test_case "stale resume fails" `Quick test_sim_stale_resume_fails;
+        Alcotest.test_case "park/unpark" `Quick test_sim_park_unpark;
         Alcotest.test_case "contended delay allocation budget" `Quick
           test_sim_contended_delay_alloc;
         Alcotest.test_case "spawn on cpu" `Quick test_sim_spawn_on_cpu;
@@ -970,6 +1053,7 @@ let suites =
     ( "engine.random",
       [
         Qrand.to_alcotest prop_random_lock_programs;
+        Qrand.to_alcotest prop_lock_grant_order_matches_model;
         Qrand.to_alcotest prop_gate_serves_in_order;
       ] );
     ( "engine.membus",

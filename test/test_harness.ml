@@ -214,6 +214,57 @@ let test_deterministic_runs () =
   Alcotest.(check bool) "different seed perturbs" true
     (abs_float (r3.Run.throughput_mbps -. r1.Run.throughput_mbps) > 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* Host profiler                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let test_profiler_folds_runtime_leaves () =
+  let fold = Profiler.fold_runtime_leaves in
+  Alcotest.(check (list string)) "trailing unnamed frames name their caller"
+    [ "main"; "Sim.run"; "[runtime] Sim.run" ]
+    (fold [ "main"; "Sim.run"; "?"; "?" ]);
+  Alcotest.(check (list string)) "inner unnamed frames stay"
+    [ "main"; "?"; "Eventq.pop_exn" ]
+    (fold [ "main"; "?"; "Eventq.pop_exn" ]);
+  Alcotest.(check (list string)) "all unnamed stays" [ "?"; "?" ] (fold [ "?"; "?" ])
+
+(* A known-hot function: it burns CPU until [deadline], allocating as it
+   goes, so the profiler's signal is handled inside it. *)
+let hot_spin deadline =
+  let sink = ref [] in
+  while Sys.time () < deadline do
+    for i = 1 to 1_000 do
+      sink := [ i ]
+    done
+  done;
+  List.length !sink
+
+(* The hot function must own most of its own profile: the leaf frame (or
+   the runtime frame folded into it) of most samples names it. *)
+let test_profiler_hot_function_dominates () =
+  let p = Profiler.start () in
+  ignore (Sys.opaque_identity (hot_spin (Sys.time () +. 0.3)));
+  let samples = Profiler.stop p in
+  let leaf stack =
+    match String.rindex_opt stack ';' with
+    | Some i -> String.sub stack (i + 1) (String.length stack - i - 1)
+    | None -> stack
+  in
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  let hot =
+    List.fold_left
+      (fun acc (stack, n) -> if contains (leaf stack) "hot_spin" then acc + n else acc)
+      0 (Profiler.stacks p)
+  in
+  if samples < 50 then Alcotest.failf "only %d samples in 0.3 s of CPU" samples;
+  if 2 * hot <= samples then
+    Alcotest.failf "hot_spin is the leaf of %d of %d samples; top stack: %s" hot samples
+      (match Profiler.stacks p with (s, _) :: _ -> s | [] -> "-")
+
 let suites =
   [
     ( "harness.baseline",
@@ -245,6 +296,13 @@ let suites =
         Alcotest.test_case "TCP-2 <= TCP-1" `Quick test_tcp2_between;
         Alcotest.test_case "atomic ops help" `Quick test_atomic_ops_help_receive;
         Alcotest.test_case "message caching helps" `Quick test_message_caching_helps;
+      ] );
+    ( "harness.profiler",
+      [
+        Alcotest.test_case "runtime leaves fold into callers" `Quick
+          test_profiler_folds_runtime_leaves;
+        Alcotest.test_case "hot function dominates its profile" `Quick
+          test_profiler_hot_function_dominates;
       ] );
     ( "harness.arch",
       [

@@ -188,9 +188,9 @@ let test_mpool_untraced_no_alloc () =
       in
       Alcotest.(check (float 0.01)) "set_u8 words/op" 0.0 set;
       Alcotest.(check (float 0.01)) "incref+decref words/op" 0.0 refs;
-      (* The copy: message record (4 words), part (4), list cell (3) and
-         the two part-iterator closures (4 each). *)
-      if dup > 19.0 then Alcotest.failf "dup+destroy: %.2f words/op, budget 19" dup)
+      (* The copy only: message record (4 words), part (4), list cell
+         (3); neither [dup] nor [destroy] builds a closure. *)
+      if dup > 11.0 then Alcotest.failf "dup+destroy: %.2f words/op, budget 11" dup)
 
 (* ------------------------------------------------------------------ *)
 (* Buffer arena                                                        *)
