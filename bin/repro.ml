@@ -94,13 +94,34 @@ let fig_cmd =
     Term.(const run $ opts_term $ json_dir_term $ jobs_term $ no_memo_term $ ids)
 
 let all_cmd =
-  let run opts json_dir jobs no_memo =
+  let cells_term =
+    let doc =
+      "After the sweep, write one fingerprint line per distinct cell to \
+       $(docv): its configuration key, the engine events it retired and a \
+       digest of its whole result (the format of test/golden/cells.txt). \
+       Needs the cell memo, so it cannot be combined with \
+       $(b,--no-cell-memo)."
+    in
+    Arg.(value & opt (some string) None & info [ "cells" ] ~docv:"FILE" ~doc)
+  in
+  let run opts json_dir jobs no_memo cells =
+    if no_memo && cells <> None then begin
+      prerr_endline "--cells reads the cell memo; drop --no-cell-memo";
+      exit 1
+    end;
     Pnp_harness.Pool.set_jobs jobs;
     Pnp_harness.Run.set_cell_memo (not no_memo);
-    Pnp_figures.Registry.run_all ~json:(json_ctx json_dir) opts
+    Pnp_figures.Registry.run_all ~json:(json_ctx json_dir) opts;
+    Option.iter
+      (fun file ->
+        Out_channel.with_open_text file (fun oc ->
+            List.iter
+              (fun l -> output_string oc (l ^ "\n"))
+              (Pnp_harness.Run.cell_fingerprints ())))
+      cells
   in
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every figure and table.")
-    Term.(const run $ opts_term $ json_dir_term $ jobs_term $ no_memo_term)
+    Term.(const run $ opts_term $ json_dir_term $ jobs_term $ no_memo_term $ cells_term)
 
 (* Profile the harness itself: run figure data phases (no table output)
    and report how fast the host retires simulated events.  All numbers

@@ -277,11 +277,11 @@ type matrix_row = {
 }
 
 (* A token that brings a lock context into scope: direct acquires
-   ([Lock.acquire], [Counting.acquire], the drivers' [*_acquire]
-   helpers), scoped holds ([Lock.with_lock], [with_*] helpers such as
-   [with_rexmt_lock]/[with_send_state]).  The [with_] prefix is a
-   naming convention this rule enforces backwards: lock-context helpers
-   must be named so the lexical pass can see them.
+   ([Lock.acquire], [Counting.acquire], the [*_acquire] helpers such as
+   TCP's [rexmt_acquire]), scoped holds ([Lock.with_lock], [with_*]
+   helpers).  The [_acquire] suffix and [with_] prefix are a naming
+   convention this rule enforces backwards: lock-context helpers must
+   be named so the lexical pass can see them.
 
    Deferred-charge sections count too: [Sim.defer_begin] (and the SCR
    wrappers [scr_section_begin]/[scr_apply_entry] built on it) opens a
@@ -466,7 +466,7 @@ let matrix_json rows =
    The checksum-sum memo is keyed by the node's write generation
    ([Mpool.bump_gen]); a byte mutation that forgets the bump serves a
    stale checksum silently.  Scope: non-test files that handle raw node
-   bytes (they mention [Mpool.data] or [Msg.head_view]); in those, any
+   bytes (they mention [Mpool.data] or [Msg.head_node]); in those, any
    top-level binding that mutates a [Bytes.t] must also call [bump_gen]
    (or carry [lint:allow] explaining why the buffer is not node
    memory). *)
@@ -485,7 +485,7 @@ let bump_gen_findings ~file src =
   let lines = Array.of_list (String.split_on_char '\n' scrubbed) in
   let handles_node_bytes =
     Array.exists
-      (fun l -> has_token l "Mpool.data" || has_token l "Msg.head_view")
+      (fun l -> has_token l "Mpool.data" || has_token l "Msg.head_node")
       lines
   in
   if in_tests file || not handles_node_bytes then []

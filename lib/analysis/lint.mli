@@ -53,7 +53,7 @@ val check_source : file:string -> string -> finding list
     [state-matrix], proto files) and the Msg-mutator generation rule
     (rule [msg-bump-gen], files handling raw node bytes): a top-level
     binding that mutates [Bytes.t] in a file mentioning [Mpool.data] or
-    [Msg.head_view] must also call [bump_gen]. *)
+    [Msg.head_node] must also call [bump_gen]. *)
 
 (** {2 State-access matrix}
 

@@ -22,7 +22,7 @@ type lock_stat = {
   discipline : string option;  (** from {!Pnp_engine.Trace.lock_discipline} *)
   grants : int;                (** grants attributable to a carried packet *)
   reordered : int;
-  max_window : int;            (** in packets, 0 when order was preserved *)
+  max_window : int;            (** in bytes of sequence space, 0 when order was preserved *)
 }
 
 val stats : Pnp_engine.Trace.t -> lock_stat list

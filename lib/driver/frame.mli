@@ -5,23 +5,29 @@
     cost (templates are preconstructed), so everything here works directly
     on message bytes without charging the clock. *)
 
-type tcp_view = {
-  dst : int;  (** IP destination address *)
-  sport : int;
-  dport : int;
-  seq : int;
-  ack : int;
-  flags : Pnp_proto.Tcp_wire.flags;
-  win : int;
-  payload_len : int;
-}
-
 val headers_len : int
 (** FDDI + IP + TCP header bytes. *)
 
-val parse_tcp : Pnp_xkern.Msg.t -> tcp_view option
-(** Inspect a full FDDI frame carrying a TCP segment; [None] if it is not
-    one. *)
+val is_tcp : Pnp_xkern.Msg.t -> bool
+(** The message is a full FDDI frame carrying a TCP segment. *)
+
+(** {2 Field readers}
+
+    The fields of a frame {!is_tcp} accepted, read in place without
+    allocating; a driver reads the ones it needs into locals. *)
+
+val tcp_dst : Pnp_xkern.Msg.t -> int
+(** IP destination address. *)
+
+val tcp_sport : Pnp_xkern.Msg.t -> int
+val tcp_dport : Pnp_xkern.Msg.t -> int
+val tcp_seq : Pnp_xkern.Msg.t -> int
+val tcp_ack : Pnp_xkern.Msg.t -> int
+val tcp_flags : Pnp_xkern.Msg.t -> Pnp_proto.Tcp_wire.flags
+val tcp_win : Pnp_xkern.Msg.t -> int
+
+val tcp_payload_len : Pnp_xkern.Msg.t -> int
+(** Bytes after the three headers. *)
 
 val build_tcp :
   Pnp_xkern.Mpool.t ->

@@ -29,13 +29,12 @@ let summarise msg =
         ((a lsr 8) land 0xff) (a land 0xff)
     in
     if proto = Tcp_wire.protocol_number then begin
-      match Frame.parse_tcp msg with
-      | Some v ->
+      if Frame.is_tcp msg then
         Printf.sprintf "TCP %s:%d > %s:%d seq=%u ack=%u win=%d len=%d [%s]" (addr src)
-          v.Frame.sport (addr dst) v.Frame.dport v.Frame.seq v.Frame.ack v.Frame.win
-          v.Frame.payload_len
-          (Tcp_wire.flags_to_string v.Frame.flags)
-      | None -> Printf.sprintf "TCP %s > %s (unparseable)" (addr src) (addr dst)
+          (Frame.tcp_sport msg) (addr dst) (Frame.tcp_dport msg) (Frame.tcp_seq msg)
+          (Frame.tcp_ack msg) (Frame.tcp_win msg) (Frame.tcp_payload_len msg)
+          (Tcp_wire.flags_to_string (Frame.tcp_flags msg))
+      else Printf.sprintf "TCP %s > %s (unparseable)" (addr src) (addr dst)
     end
     else if proto = Udp.protocol_number then
       Printf.sprintf "UDP %s:%d > %s:%d len=%d" (addr src)

@@ -38,16 +38,16 @@ type t = {
 
 let plat t = t.stack.Stack.plat
 
-let stream_for t (v : Frame.tcp_view) =
-  match Hashtbl.find_opt t.streams v.Frame.sport with
-  | Some s -> s
-  | None ->
+let stream_for t ~sport ~dport =
+  match Hashtbl.find t.streams sport with
+  | s -> s
+  | exception Not_found ->
     let s =
       {
-        sender_port = v.Frame.sport;
-        peer_port = v.Frame.dport;
-        peer_iss = 0x40000000 + v.Frame.sport;
-        peer_seq = 0x40000000 + v.Frame.sport;
+        sender_port = sport;
+        peer_port = dport;
+        peer_iss = 0x40000000 + sport;
+        peer_seq = 0x40000000 + sport;
         irs = 0;
         rcv_nxt = 0;
         ooo = [];
@@ -57,7 +57,7 @@ let stream_for t (v : Frame.tcp_view) =
         fin_seen = false;
       }
     in
-    Hashtbl.replace t.streams v.Frame.sport s;
+    Hashtbl.replace t.streams sport s;
     s
 
 (* Push a segment from the simulated peer up through the sender's stack,
@@ -86,110 +86,108 @@ let drain_ooo stream =
       go ()
     | None -> ()
   in
-  go ()
+  if stream.ooo <> [] then go ()
 
+(* The fields are read into locals: answering a segment re-enters the
+   sender's stack on this thread before the frame is gone. *)
 let handle t frame =
   Costs.charge (plat t) Costs.driver_xmit;
-  (match Frame.parse_tcp frame with
-   | None -> Msg.destroy frame
-   | Some v ->
-     let stream = stream_for t v in
-     if v.Frame.flags.Tcp_wire.syn && not v.Frame.flags.Tcp_wire.ack then begin
-       (* Connection setup: answer SYN with SYN-ACK. *)
-       stream.irs <- v.Frame.seq;
-       stream.rcv_nxt <- Tcp_seq.add v.Frame.seq 1;
-       stream.highest_seq <- v.Frame.seq;
-       stream.started <- true;
-       let syn_seq = stream.peer_iss in
-       stream.peer_seq <- Tcp_seq.add stream.peer_iss 1;
-       Msg.destroy frame;
-       let syn_ack =
-         Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr
-           ~dst:t.stack.Stack.local_addr ~sport:stream.peer_port
-           ~dport:stream.sender_port ~seq:syn_seq ~ack:stream.rcv_nxt
-           ~flags:Tcp_wire.flag_syn_ack ~win:t.ack_window ~payload:None
-           ~checksum:t.checksum
-       in
-       Fddi.input t.stack.Stack.fddi syn_ack
-     end
-     else begin
-       let len = v.Frame.payload_len in
-       if len > 0 then begin
-         if t.loss_rate > 0.0 && Prng.float t.loss_rng 1.0 < t.loss_rate then begin
-           (* Simulated wire loss: the segment vanishes. *)
-           t.drops <- t.drops + 1;
-           Msg.destroy frame
-         end
-         else begin
-           t.data_segments <- t.data_segments + 1;
-           t.bytes <- t.bytes + len;
-           (* Wire-order bookkeeping (Section 4.1: "fewer than one percent
-              were misordered" below TCP on the send side). *)
-           if Tcp_seq.lt v.Frame.seq stream.highest_seq then
-             t.wire_misorders <- t.wire_misorders + 1
-           else stream.highest_seq <- v.Frame.seq;
-           let first_data = Tcp_seq.diff stream.rcv_nxt (Tcp_seq.add stream.irs 1) = 0 in
-           (* Cumulative-ack reassembly; duplicates, gaps and zero-window
-              probes force an immediate ack, like a real receiver. *)
-           let ack_now = ref (first_data || t.ack_window = 0) in
-           let seg_end = Tcp_seq.add v.Frame.seq len in
-           if v.Frame.seq = stream.rcv_nxt then begin
-             stream.rcv_nxt <- seg_end;
-             (* A segment that fills a gap must be acked at once, or the
-                sender sits in its backoff until the next timeout. *)
-             if stream.ooo <> [] then ack_now := true;
-             drain_ooo stream
-           end
-           else if Tcp_seq.lt v.Frame.seq stream.rcv_nxt && Tcp_seq.gt seg_end stream.rcv_nxt
-           then begin
-             (* Retransmission overlapping data we already have: keep the
-                new tail, ack at once. *)
-             stream.rcv_nxt <- seg_end;
-             drain_ooo stream;
-             ack_now := true
-           end
-           else begin
-             ack_now := true;
-             if Tcp_seq.gt v.Frame.seq stream.rcv_nxt then
-               stream.ooo <- (v.Frame.seq, len) :: stream.ooo
-           end;
-           stream.since_ack <- stream.since_ack + 1;
-           Msg.destroy frame;
-           (* Ack every other packet, like Net/2 talking to itself; the
-              first data segment and out-of-order arrivals ack at once. *)
-           if !ack_now || stream.since_ack >= 2 then send_ack t stream
-         end
-       end
-       else begin
-         (if v.Frame.flags.Tcp_wire.fin then begin
-            t.fins <- t.fins + 1;
-            stream.fin_seen <- true;
-            if Tcp_seq.add v.Frame.seq len = stream.rcv_nxt || v.Frame.seq = stream.rcv_nxt
-            then begin
-              stream.rcv_nxt <- Tcp_seq.add v.Frame.seq 1;
-              Msg.destroy frame;
-              send_ack t stream;
-              (* Close our half too so the sender can reach TIME_WAIT. *)
-              let fin_seq = stream.peer_seq in
-              stream.peer_seq <- Tcp_seq.add stream.peer_seq 1;
-              let fin =
-                Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr
-                  ~dst:t.stack.Stack.local_addr ~sport:stream.peer_port
-                  ~dport:stream.sender_port ~seq:fin_seq ~ack:stream.rcv_nxt
-                  ~flags:Tcp_wire.flag_fin_ack ~win:t.ack_window ~payload:None
-                  ~checksum:t.checksum
-              in
-              Fddi.input t.stack.Stack.fddi fin
-            end
-            else Msg.destroy frame
+  if not (Frame.is_tcp frame) then Msg.destroy frame
+  else begin
+    let stream = stream_for t ~sport:(Frame.tcp_sport frame) ~dport:(Frame.tcp_dport frame) in
+    let flags = Frame.tcp_flags frame and seq = Frame.tcp_seq frame in
+    if flags.Tcp_wire.syn && not flags.Tcp_wire.ack then begin
+      (* Connection setup: answer SYN with SYN-ACK. *)
+      stream.irs <- seq;
+      stream.rcv_nxt <- Tcp_seq.add seq 1;
+      stream.highest_seq <- seq;
+      stream.started <- true;
+      let syn_seq = stream.peer_iss in
+      stream.peer_seq <- Tcp_seq.add stream.peer_iss 1;
+      Msg.destroy frame;
+      let syn_ack =
+        Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr
+          ~dst:t.stack.Stack.local_addr ~sport:stream.peer_port
+          ~dport:stream.sender_port ~seq:syn_seq ~ack:stream.rcv_nxt
+          ~flags:Tcp_wire.flag_syn_ack ~win:t.ack_window ~payload:None
+          ~checksum:t.checksum
+      in
+      Fddi.input t.stack.Stack.fddi syn_ack
+    end
+    else begin
+      let len = Frame.tcp_payload_len frame in
+      if len > 0 then begin
+        if t.loss_rate > 0.0 && Prng.float t.loss_rng 1.0 < t.loss_rate then begin
+          (* Simulated wire loss: the segment vanishes. *)
+          t.drops <- t.drops + 1;
+          Msg.destroy frame
+        end
+        else begin
+          t.data_segments <- t.data_segments + 1;
+          t.bytes <- t.bytes + len;
+          (* Wire-order bookkeeping (Section 4.1: "fewer than one percent
+             were misordered" below TCP on the send side). *)
+          if Tcp_seq.lt seq stream.highest_seq then
+            t.wire_misorders <- t.wire_misorders + 1
+          else stream.highest_seq <- seq;
+          let first_data = Tcp_seq.diff stream.rcv_nxt (Tcp_seq.add stream.irs 1) = 0 in
+          (* Cumulative-ack reassembly; duplicates, gaps and zero-window
+             probes force an immediate ack, like a real receiver. *)
+          let ack_now = ref (first_data || t.ack_window = 0) in
+          let seg_end = Tcp_seq.add seq len in
+          if seq = stream.rcv_nxt then begin
+            stream.rcv_nxt <- seg_end;
+            (* A segment that fills a gap must be acked at once, or the
+               sender sits in its backoff until the next timeout. *)
+            if stream.ooo <> [] then ack_now := true;
+            drain_ooo stream
           end
-          else
-            (* a FIN-less dataless segment (window update / plain ack) *)
-            Msg.destroy frame);
-         (* Data segments carrying FIN are not generated by our TCP. *)
-         ()
-       end
-     end)
+          else if Tcp_seq.lt seq stream.rcv_nxt && Tcp_seq.gt seg_end stream.rcv_nxt
+          then begin
+            (* Retransmission overlapping data we already have: keep the
+               new tail, ack at once. *)
+            stream.rcv_nxt <- seg_end;
+            drain_ooo stream;
+            ack_now := true
+          end
+          else begin
+            ack_now := true;
+            if Tcp_seq.gt seq stream.rcv_nxt then stream.ooo <- (seq, len) :: stream.ooo
+          end;
+          stream.since_ack <- stream.since_ack + 1;
+          Msg.destroy frame;
+          (* Ack every other packet, like Net/2 talking to itself; the
+             first data segment and out-of-order arrivals ack at once. *)
+          if !ack_now || stream.since_ack >= 2 then send_ack t stream
+        end
+      end
+      else if flags.Tcp_wire.fin then begin
+        t.fins <- t.fins + 1;
+        stream.fin_seen <- true;
+        if Tcp_seq.add seq len = stream.rcv_nxt || seq = stream.rcv_nxt then begin
+          stream.rcv_nxt <- Tcp_seq.add seq 1;
+          Msg.destroy frame;
+          send_ack t stream;
+          (* Close our half too so the sender can reach TIME_WAIT. *)
+          let fin_seq = stream.peer_seq in
+          stream.peer_seq <- Tcp_seq.add stream.peer_seq 1;
+          let fin =
+            Frame.build_tcp t.stack.Stack.pool ~src:t.peer_addr
+              ~dst:t.stack.Stack.local_addr ~sport:stream.peer_port
+              ~dport:stream.sender_port ~seq:fin_seq ~ack:stream.rcv_nxt
+              ~flags:Tcp_wire.flag_fin_ack ~win:t.ack_window ~payload:None
+              ~checksum:t.checksum
+          in
+          Fddi.input t.stack.Stack.fddi fin
+        end
+        else Msg.destroy frame
+      end
+      else
+        (* A FIN-less dataless segment (window update / plain ack); data
+           segments carrying FIN are not generated by our TCP. *)
+        Msg.destroy frame
+    end
+  end
 
 let attach stack ~peer_addr ~ack_window ~checksum ?(loss_rate = 0.0) () =
   let t =

@@ -25,7 +25,7 @@ type t = {
   payload_tmpl : Msg.t; (* preconstructed payload shared by all segments *)
   payload_sum : int;
   streams : stream array;
-  by_key : (int * int, stream) Hashtbl.t; (* (src addr, driver port) -> stream *)
+  by_key : (int, stream) Hashtbl.t; (* [stream_key] (src addr, driver port) -> stream *)
   jitter : Prng.t;
   mutable injected : int;
   mutable stalls : int;
@@ -42,23 +42,27 @@ let plat t = t.stack.Stack.plat
 
 (* Acks come back addressed to the stream's source address and driver
    port; both are needed once the port space is reused across addresses
-   (beyond 2^14 streams). *)
-let find_stream t addr port = Hashtbl.find_opt t.by_key (addr, port)
+   (beyond 2^14 streams).  A 32-bit address and a 16-bit port pack into
+   one int key, so a lookup builds no tuple. *)
+let stream_key addr port = (addr lsl 16) lor port
 
-(* Acks (and the SYN-ACK) from the real receiver arrive here. *)
+(* Acks (and the SYN-ACK) from the real receiver arrive here.  The
+   fields are read into locals: the SYN-ACK answer re-enters the stack
+   on this thread before the frame is gone. *)
 let handle t frame =
   Costs.charge (plat t) Costs.driver_xmit;
-  (match Frame.parse_tcp frame with
-   | None -> ()
-   | Some v -> (
-     match find_stream t v.Frame.dst v.Frame.dport with
-     | None -> ()
-     | Some s ->
-       if v.Frame.flags.Tcp_wire.syn && v.Frame.flags.Tcp_wire.ack then begin
+  (if Frame.is_tcp frame then
+     match Hashtbl.find t.by_key (stream_key (Frame.tcp_dst frame) (Frame.tcp_dport frame)) with
+     | exception Not_found -> ()
+     | s ->
+       let flags = Frame.tcp_flags frame in
+       let seq = Frame.tcp_seq frame and ack = Frame.tcp_ack frame in
+       let win = Frame.tcp_win frame in
+       if flags.Tcp_wire.syn && flags.Tcp_wire.ack then begin
          (* SYN-ACK of our handshake: finish it. *)
-         s.peer_ack <- Tcp_seq.add v.Frame.seq 1;
-         s.snd_una <- v.Frame.ack;
-         s.peer_win <- v.Frame.win;
+         s.peer_ack <- Tcp_seq.add seq 1;
+         s.snd_una <- ack;
+         s.peer_win <- win;
          s.established <- true;
          let ack =
            Frame.build_tcp t.stack.Stack.pool ~src:s.src_addr
@@ -69,12 +73,11 @@ let handle t frame =
          Fddi.input t.stack.Stack.fddi ack
        end
        else begin
-         if v.Frame.flags.Tcp_wire.ack && Tcp_seq.gt v.Frame.ack s.snd_una then
-           s.snd_una <- v.Frame.ack;
-         s.peer_win <- v.Frame.win;
-         if v.Frame.flags.Tcp_wire.fin then
-           s.peer_ack <- Tcp_seq.add (Tcp_seq.add v.Frame.seq v.Frame.payload_len) 1
-       end));
+         if flags.Tcp_wire.ack && Tcp_seq.gt ack s.snd_una then s.snd_una <- ack;
+         s.peer_win <- win;
+         if flags.Tcp_wire.fin then
+           s.peer_ack <- Tcp_seq.add (Tcp_seq.add seq (Frame.tcp_payload_len frame)) 1
+       end);
   Msg.destroy frame
 
 let attach stack ~peer_addr ~payload ~checksum ?(jitter_mean_ns = 8000.0)
@@ -105,9 +108,10 @@ let attach stack ~peer_addr ~payload ~checksum ?(jitter_mean_ns = 8000.0)
   let by_key = Hashtbl.create (max 16 (2 * Array.length streams)) in
   Array.iter
     (fun s ->
-      if Hashtbl.mem by_key (s.src_addr, s.drv_port) then
+      let key = stream_key s.src_addr s.drv_port in
+      if Hashtbl.mem by_key key then
         invalid_arg "Tcp_source.attach: duplicate (source address, driver port)";
-      Hashtbl.replace by_key (s.src_addr, s.drv_port) s)
+      Hashtbl.replace by_key key s)
     streams;
   let payload_tmpl = Msg.create stack.Stack.pool payload in
   Msg.fill_pattern payload_tmpl ~off:0 ~len:payload ~stream_off:0;
@@ -152,60 +156,65 @@ let start t = start_range t ~first:0 ~last:(Array.length t.streams)
 
 type reserved = { r_stream : int; r_seq : int }
 
-(* Pin the next sequence number of [stream] under the ring lock.  In the
-   classic feeders reservation and injection are back-to-back ([next]);
-   the steered NIC reserves at arrival time and injects whenever the
-   owning worker drains its queue, so a reservation can sit behind
-   younger reservations of the same stream on another worker's queue —
-   that gap is the Flow-Director reordering. *)
-let reserve t ~stream =
+(* Pin the next sequence number of [stream] under the ring lock; -1 when
+   the stream cannot take a segment now.  In the classic feeders
+   reservation and injection are back-to-back ([next]); the steered NIC
+   reserves at arrival time and injects whenever the owning worker
+   drains its queue, so a reservation can sit behind younger
+   reservations of the same stream on another worker's queue — that gap
+   is the Flow-Director reordering. *)
+let reserve_seq t ~stream =
   let s = t.streams.(stream) in
   let p = plat t in
   if Mpool.headroom t.stack.Stack.pool < inject_headroom_margin then begin
     t.pressure_sheds <- t.pressure_sheds + 1;
-    None
+    -1
   end
   else begin
   Lock.acquire s.ring_lock;
   Costs.charge p Costs.driver_recv;
   if not s.established then begin
     Lock.release s.ring_lock;
-    None
+    -1
   end
   else begin
     let in_flight = Tcp_seq.diff s.snd_nxt s.snd_una in
     if in_flight + t.payload > s.peer_win then begin
       t.stalls <- t.stalls + 1;
       Lock.release s.ring_lock;
-      None
+      -1
     end
     else begin
       let seq = s.snd_nxt in
       s.snd_nxt <- Tcp_seq.add s.snd_nxt t.payload;
       t.injected <- t.injected + 1;
       Lock.release s.ring_lock;
-      Some { r_stream = stream; r_seq = seq }
+      seq
     end
   end
   end
 
-let inject t { r_stream; r_seq = seq } =
-  let s = t.streams.(r_stream) in
+let reserve t ~stream =
+  let seq = reserve_seq t ~stream in
+  if seq < 0 then None else Some { r_stream = stream; r_seq = seq }
+
+let span p ev =
+  let tracer = Sim.tracer p.Platform.sim in
+  let th = Sim.self p.Platform.sim in
+  Trace.emit tracer (* lint:allow trace-guard: callers test [tracing] *)
+    ~ts:(Sim.now p.Platform.sim) ~tid:(Sim.tid th) ~cpu:(Sim.cpu th) ev
+
+let inject_seq t stream seq =
+  let s = t.streams.(stream) in
   let p = plat t in
   (* The packet lifecycle span covers driver service plus the synchronous
      climb through FDDI/IP, on the thread that carries the packet. *)
-  let tracer = Sim.tracer p.Platform.sim in
-  let tracing = Trace.enabled tracer && Sim.in_thread p.Platform.sim in
-  let span ev =
-    let th = Sim.self p.Platform.sim in
-    Trace.emit tracer ~ts:(Sim.now p.Platform.sim) ~tid:(Sim.tid th)
-      ~cpu:(Sim.cpu th) ev
-  in
-  if tracing then span (Trace.Span_begin { seq; phase = Trace.Enqueue });
+  let tracing = Trace.enabled (Sim.tracer p.Platform.sim) && Sim.in_thread p.Platform.sim in
+  if tracing then span p (Trace.Span_begin { seq; phase = Trace.Enqueue });
   (* Interrupt/DMA service variance hits each thread independently after
      the in-order handout — the source of the residual misordering
      Table 1 shows even under MCS locks. *)
-  Platform.charge p (int_of_float (Prng.exponential t.jitter ~mean:t.jitter_mean_ns));
+  Platform.charge p (Prng.exponential t.jitter ~mean:t.jitter_mean_ns);
   (* Build from the template outside the ring lock: the thread carries
      its own packet up the stack, as in the paper. *)
   let frame =
@@ -222,16 +231,8 @@ let inject t { r_stream; r_seq = seq } =
       (* Template path: share the payload node; checksum updated
          incrementally from the precomputed payload sum. *)
       let seg = Msg.dup t.payload_tmpl in
-      Tcp_wire.encode seg
-        {
-          Tcp_wire.sport = s.drv_port;
-          dport = s.rcv_port;
-          seq;
-          ack = s.peer_ack;
-          flags = Tcp_wire.flag_ack;
-          win = 1 lsl 20;
-          cksum = 0;
-        };
+      Tcp_wire.encode seg ~sport:s.drv_port ~dport:s.rcv_port ~seq ~ack:s.peer_ack
+        ~flags:Tcp_wire.flag_ack ~win:(1 lsl 20);
       if t.checksum then
         Tcp_wire.store_checksum_incremental ~src:s.src_addr
           ~dst:t.stack.Stack.local_addr ~payload_sum:t.payload_sum seg
@@ -243,15 +244,18 @@ let inject t { r_stream; r_seq = seq } =
       seg
     end
   in
-  if tracing then span (Trace.Span_end { seq; phase = Trace.Enqueue });
+  if tracing then span p (Trace.Span_end { seq; phase = Trace.Enqueue });
   Fddi.input t.stack.Stack.fddi frame
 
+let inject t r = inject_seq t r.r_stream r.r_seq
+
 let next t ~stream =
-  match reserve t ~stream with
-  | None -> false
-  | Some r ->
-    inject t r;
+  let seq = reserve_seq t ~stream in
+  if seq < 0 then false
+  else begin
+    inject_seq t stream seq;
     true
+  end
 
 let established t ~stream = t.streams.(stream).established
 let segments_injected t = t.injected

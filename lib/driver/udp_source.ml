@@ -49,7 +49,7 @@ let next t ~stream =
   t.injected <- t.injected + 1;
   Lock.release s.ring_lock;
   (* Per-thread service variance, after the in-order handout. *)
-  Platform.charge plat (int_of_float (Prng.exponential t.jitter ~mean:t.jitter_mean_ns));
+  Platform.charge plat (Prng.exponential t.jitter ~mean:t.jitter_mean_ns);
   Fddi.input t.stack.Stack.fddi frame
 
 let frames_injected t = t.injected

@@ -269,7 +269,10 @@ let make_feeder (cfg : Config.t) plat pacing ~worker =
           else Wait (max 1_000 (int_of_float !soonest)))
     | None ->
       (* Saturating: weighted random pick (uniform when skew = 0). *)
-      if Array.length js = 1 then Some (fun () -> Now js.(0))
+      if Array.length js = 1 then begin
+        let only = Now js.(0) in
+        Some (fun () -> only)
+      end
       else begin
         let ws_all = zipf_weights cfg in
         let ws = Array.map (fun j -> ws_all.(j)) js in
@@ -318,7 +321,7 @@ let setup (cfg : Config.t) plat =
                Costs.charge plat Costs.app_send;
                (* small application service jitter; keeps the system off
                   artificial deterministic phase-locks *)
-               Platform.charge plat (int_of_float (Prng.exponential rng ~mean:1000.0));
+               Platform.charge plat (Prng.exponential rng ~mean:1000.0);
                let m = Msg.create stack.Stack.pool cfg.Config.payload in
                Costs.fill_payload plat m ~off:0 ~len:cfg.Config.payload ~stream_off:0;
                let m =
@@ -426,7 +429,7 @@ let setup (cfg : Config.t) plat =
                Costs.charge plat Costs.app_send;
                (* small application service jitter; keeps the system off
                   artificial deterministic phase-locks *)
-               Platform.charge plat (int_of_float (Prng.exponential rng ~mean:1000.0));
+               Platform.charge plat (Prng.exponential rng ~mean:1000.0);
                let m = Msg.create stack.Stack.pool cfg.Config.payload in
                Costs.fill_payload plat m ~off:0 ~len:cfg.Config.payload ~stream_off:0;
                let m =
@@ -607,7 +610,8 @@ let run_gen ?(trace = false) ?stall_ns (cfg : Config.t) =
       rcu_reads = fst s1.s_rcu - fst s0.s_rcu;
     },
     tracer,
-    match wd with None -> [] | Some w -> Watchdog.stalls w )
+    (match wd with None -> [] | Some w -> Watchdog.stalls w),
+    Sim.events_processed plat.Platform.sim )
 
 (* Sweep-cell memo.  A cell is a pure function of its [Config.t] (every
    stochastic choice is seeded from [cfg.seed]), and the figures reuse
@@ -623,7 +627,7 @@ let run_gen ?(trace = false) ?stall_ns (cfg : Config.t) =
    answer. *)
 let memo_enabled = ref true
 let memo_lock = Mutex.create ()
-let memo : (string, result) Hashtbl.t = Hashtbl.create 256
+let memo : (string, result * int) Hashtbl.t = Hashtbl.create 256
 
 let set_cell_memo on = memo_enabled := on
 
@@ -632,32 +636,44 @@ let clear_cell_memo () =
 
 let cell_memo_size () = Mutex.protect memo_lock (fun () -> Hashtbl.length memo)
 
-let result_of (r, _, _) = r
-
 let run cfg =
-  if not !memo_enabled then result_of (run_gen cfg)
+  if not !memo_enabled then
+    let r, _, _, _ = run_gen cfg in
+    r
   else
     let key = Config.canonical cfg in
     match Mutex.protect memo_lock (fun () -> Hashtbl.find_opt memo key) with
-    | Some r ->
+    | Some (r, _) ->
         Hostprof.note_cell_hit ();
         r
     | None ->
         Hostprof.note_cell_miss ();
-        let r = result_of (run_gen cfg) in
+        let r, _, _, events = run_gen cfg in
         Mutex.protect memo_lock (fun () ->
-            if not (Hashtbl.mem memo key) then Hashtbl.add memo key r);
+            if not (Hashtbl.mem memo key) then Hashtbl.add memo key (r, events));
         r
+
+(* The digest covers every field of the result without naming them:
+   [No_sharing] makes the marshalled bytes a function of the values
+   alone, not of which floats happen to share a box. *)
+let cell_fingerprints () =
+  let line (key, (r, events)) =
+    Printf.sprintf "%s events=%d digest=%s" key events
+      (Digest.to_hex (Digest.string (Marshal.to_string (r : result) [ Marshal.No_sharing ])))
+  in
+  Mutex.protect memo_lock (fun () -> List.of_seq (Hashtbl.to_seq memo))
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map line
 
 (* Traced runs are never memoized: the caller wants the tracer. *)
 let run_traced cfg =
-  let r, tracer, _ = run_gen ~trace:true cfg in
+  let r, tracer, _, _ = run_gen ~trace:true cfg in
   (r, tracer)
 
 (* Watched runs are never memoized either: liveness is a property of the
    execution, and a memo hit would not re-execute. *)
 let run_watched ?(stall_ns = Units.ms 100.0) cfg =
-  let r, _, stalls = run_gen ~stall_ns cfg in
+  let r, _, stalls, _ = run_gen ~stall_ns cfg in
   let findings =
     List.map
       (fun (s : Watchdog.stall) ->

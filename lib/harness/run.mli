@@ -54,6 +54,14 @@ val clear_cell_memo : unit -> unit
 val cell_memo_size : unit -> int
 (** Number of distinct cells currently cached. *)
 
+val cell_fingerprints : unit -> string list
+(** One line per memoized cell, sorted:
+    ["<Config.canonical> events=<n> digest=<hex>"], where [n] is the
+    number of engine events the cell retired and the digest covers every
+    field of its [result].  After a sweep this pins the simulated
+    behaviour of each cell it ran, so a model change names the exact
+    cells that moved (see [test/golden/cells.txt]). *)
+
 val run_traced : Config.t -> result * Pnp_engine.Trace.t
 (** Like [run], but enables the simulator's event tracer for exactly the
     measurement window: recording starts at the warmup snapshot and stops

@@ -11,9 +11,9 @@ let convert plat pool msg =
   (* Real work: copy with each aligned 32-bit word byte-swapped, in place
      in the output's single node — one generation bump for the whole
      rewrite, no scratch buffer. *)
-  (match Msg.head_view out ~len with
-   | None -> assert (len = 0)
-   | Some (node, buf, base) ->
+  if len > 0 then begin
+     let node = Msg.head_node out in
+     let buf = Mpool.data node and base = Msg.head_off out in
      Mpool.bump_gen pool node;
      let pos = ref base in
      Msg.iter_slices msg (fun b off n ->
@@ -29,7 +29,8 @@ let convert plat pool msg =
        Bytes.set buf (i + 1) b2;
        Bytes.set buf (i + 2) b1;
        Bytes.set buf (i + 3) b0
-     done);
+     done
+  end;
   Msg.destroy msg;
   Platform.charge plat (int_of_float (float_of_int len *. conversion_ns_per_byte));
   out

@@ -2,18 +2,26 @@ open Pnp_xkern
 
 type policy = Block | Drop
 
+(* The queued messages, front first, in a ring: [segs.((head + i) land
+   (capacity - 1))] for i < n, the capacity 0 until the first enqueue and
+   a power of two after it.  Enqueue, peek and drop touch only the
+   messages they need and allocate nothing until the ring doubles.  A
+   slot left behind by [drop] keeps the handle of a destroyed message,
+   which holds no node. *)
 type t = {
   pool : Mpool.t;
   max : int;
   policy : policy;
-  mutable segs : Msg.t list; (* front first; kept short, so list suffices *)
+  mutable segs : Msg.t array;
+  mutable head : int;
+  mutable n : int;
   mutable cc : int;
   mutable drops : int; (* messages shed by the Drop policy *)
   mutable dropped_bytes : int;
 }
 
 let create ?(policy = Block) pool ~max =
-  { pool; max; policy; segs = []; cc = 0; drops = 0; dropped_bytes = 0 }
+  { pool; max; policy; segs = [||]; head = 0; n = 0; cc = 0; drops = 0; dropped_bytes = 0 }
 
 let cc t = t.cc
 let space t = t.max - t.cc
@@ -22,11 +30,31 @@ let policy t = t.policy
 let drops t = t.drops
 let dropped_bytes t = t.dropped_bytes
 
+(* The [i]th queued message. *)
+let slot t i = (t.head + i) land (Array.length t.segs - 1)
+let seg t i = t.segs.(slot t i)
+
+let enqueue t msg =
+  let cap = Array.length t.segs in
+  if t.n = cap then begin
+    let grown = Array.make (max 8 (2 * cap)) msg in
+    for i = 0 to t.n - 1 do
+      grown.(i) <- seg t i
+    done;
+    t.segs <- grown;
+    t.head <- 0
+  end;
+  t.segs.(slot t t.n) <- msg;
+  t.n <- t.n + 1;
+  t.cc <- t.cc + Msg.length msg
+
+let dequeue t =
+  t.head <- slot t 1;
+  t.n <- t.n - 1
+
 let append t msg =
-  let len = Msg.length msg in
-  if len > space t then invalid_arg "Sockbuf.append: no space";
-  t.segs <- t.segs @ [ msg ];
-  t.cc <- t.cc + len
+  if Msg.length msg > space t then invalid_arg "Sockbuf.append: no space";
+  enqueue t msg
 
 (* Overflow resolution is explicit: [`Queued] took ownership, [`Must_wait]
    left the message with the caller (Block policy — the caller parks on
@@ -36,8 +64,7 @@ let append t msg =
 let offer t msg =
   let len = Msg.length msg in
   if len <= space t then begin
-    t.segs <- t.segs @ [ msg ];
-    t.cc <- t.cc + len;
+    enqueue t msg;
     `Queued
   end
   else
@@ -49,52 +76,47 @@ let offer t msg =
       Msg.destroy msg;
       `Dropped
 
+(* Splice shared views of the covered ranges into one message. *)
 let peek t ~off ~len =
-  if off < 0 || len < 0 || off + len > t.cc then invalid_arg (Printf.sprintf "Sockbuf.peek: out of range off=%d len=%d cc=%d" off len t.cc);
-  (* Collect the covered ranges as shared (dup'd) views and splice them
-     into one message. *)
-  let rec gather segs off len acc =
-    if len = 0 then List.rev acc
-    else
-      match segs with
-      | [] -> assert false
-      | m :: rest ->
-        let mlen = Msg.length m in
-        if off >= mlen then gather rest (off - mlen) len acc
-        else begin
-          let take = min (mlen - off) len in
-          let view = Msg.dup m in
-          Msg.pop view off;
-          Msg.truncate view take;
-          gather rest 0 (len - take) (view :: acc)
-        end
-  in
-  let views = gather t.segs off len [] in
-  match views with
-  | [] -> Msg.create t.pool 0
-  | first :: rest ->
-    List.iter (fun v -> Msg.append first v) rest;
-    first
+  if off < 0 || len < 0 || off + len > t.cc then
+    invalid_arg (Printf.sprintf "Sockbuf.peek: out of range off=%d len=%d cc=%d" off len t.cc);
+  let out = Msg.create t.pool 0 in
+  let i = ref 0 and off = ref off and len = ref len in
+  while !len > 0 do
+    let m = seg t !i in
+    let mlen = Msg.length m in
+    if !off >= mlen then off := !off - mlen
+    else begin
+      let take = min (mlen - !off) !len in
+      Msg.append_view out m ~off:!off ~len:take;
+      off := 0;
+      len := !len - take
+    end;
+    incr i
+  done;
+  out
 
 let drop t n =
   if n < 0 || n > t.cc then invalid_arg "Sockbuf.drop: out of range";
-  let rec go n =
-    if n > 0 then
-      match t.segs with
-      | [] -> assert false
-      | m :: rest ->
-        let mlen = Msg.length m in
-        if mlen <= n then begin
-          Msg.destroy m;
-          t.segs <- rest;
-          go (n - mlen)
-        end
-        else Msg.pop m n
-  in
-  go n;
+  let rem = ref n in
+  while !rem > 0 do
+    let m = seg t 0 in
+    let mlen = Msg.length m in
+    if mlen <= !rem then begin
+      Msg.destroy m;
+      dequeue t;
+      rem := !rem - mlen
+    end
+    else begin
+      Msg.pop m !rem;
+      rem := 0
+    end
+  done;
   t.cc <- t.cc - n
 
 let clear t =
-  List.iter Msg.destroy t.segs;
-  t.segs <- [];
+  while t.n > 0 do
+    Msg.destroy (seg t 0);
+    dequeue t
+  done;
   t.cc <- 0

@@ -105,7 +105,33 @@ let state_to_string = function
      lock, or checksums are off and the field is already zero). *)
 type cksum_todo = Sum_and_fold | Fold_charge | Ck_done
 
-type pending = { seg : Msg.t; todo : cksum_todo }
+(* The fields are mutable only so a demux lookup can fill the scratch
+   key of its pass ([io.key]) instead of building one; a key stored in a
+   map never changes. *)
+module Conn_key = struct
+  type t = { mutable lport : int; mutable raddr : int; mutable rport : int }
+
+  let hash k = (k.lport * 40503) lxor (k.raddr * 2654435761) lxor (k.rport * 97)
+  let equal a b = a.lport = b.lport && a.raddr = b.raddr && a.rport = b.rport
+end
+
+(* What one pass through the protocol decided under its locks: the
+   segments to transmit once they drop, each with its checksum work, and
+   the payloads it made in-order, to hand up outside them, both in
+   order.  A pass takes one from its protocol's spare stack ([io_take])
+   and gives it back when done, so each record belongs to one pass at a
+   time: a thread parked in [input_acquire] keeps its own, and a segment
+   a driver injects synchronously from inside [transmit] re-enters
+   [input] with another.  The arrays grow on demand and are reused, so a
+   pass allocates nothing.  [key] is the pass's demux lookup key. *)
+type io = {
+  key : Conn_key.t;
+  mutable segs : Msg.t array;
+  mutable todos : cksum_todo array;
+  mutable n_segs : int;
+  mutable dels : Msg.t array;
+  mutable n_dels : int;
+}
 
 (* State-compute replication (SCR): instead of serializing threads on a
    connection-state lock, every arriving segment is appended to a
@@ -119,8 +145,7 @@ type scr_entry = {
   e_msg : Msg.t;
   mutable e_applied : bool;
   mutable e_cost : int; (* simulated ns the apply section consumed *)
-  mutable e_out : pending list; (* segments the apply decided to send *)
-  mutable e_deliveries : Msg.t list; (* payloads the apply made in-order *)
+  mutable e_io : io option; (* segments and payloads the apply decided on *)
   mutable e_fin : bool; (* peer's FIN became in-order at this entry *)
 }
 
@@ -224,13 +249,6 @@ type tcb = {
   mutable syn_counted : bool;
 }
 
-module Conn_key = struct
-  type t = { lport : int; raddr : int; rport : int }
-
-  let hash k = (k.lport * 40503) lxor (k.raddr * 2654435761) lxor (k.rport * 97)
-  let equal a b = a.lport = b.lport && a.raddr = b.raddr && a.rport = b.rport
-end
-
 module Conn_map = Xmap.Make (Conn_key)
 
 type t = {
@@ -250,6 +268,9 @@ type t = {
   mutable shutdown : bool;
   mutable cksum_failures : int; (* segments discarded by checksum verification *)
   mutable syn_backlog_drops : int; (* SYNs shed by a full listener backlog *)
+  nil_msg : Msg.t; (* empty, never sent: fills unused [io] slots *)
+  mutable spare_io : io array;
+  mutable n_spare_io : int;
 }
 
 and session = {
@@ -454,22 +475,80 @@ let output_release sess =
     Lock.release r.ru_wr
 
 (* Six-only scoped sections; no-ops for One/Two (already covered by the
-   coarser lock). *)
-let with_reass_lock sess f =
-  match sess.locks with L_six { reass; _ } -> Lock.with_lock reass f | _ -> f ()
+   coarser lock).  Each is an acquire/release pair around straight-line
+   code, like the input and output sections, so entering one builds no
+   closure.  Ack processing on the receive path touches send state too;
+   under every discipline [input_acquire] already holds the locks it
+   needs. *)
+let reass_acquire sess =
+  match sess.locks with L_six { reass; _ } -> Lock.acquire reass | _ -> ()
 
-let with_rexmt_lock sess f =
-  match sess.locks with L_six { rexmt; _ } -> Lock.with_lock rexmt f | _ -> f ()
+let reass_release sess =
+  match sess.locks with L_six { reass; _ } -> Lock.release reass | _ -> ()
 
-(* Ack processing on the receive path touches send state; under every
-   discipline the necessary locks are already held by input_acquire. *)
-let with_send_state _sess f = f ()
+let rexmt_acquire sess =
+  match sess.locks with L_six { rexmt; _ } -> Lock.acquire rexmt | _ -> ()
 
-let with_hdr_prep sess f =
-  match sess.locks with L_six { hdr_prep; _ } -> Lock.with_lock hdr_prep f | _ -> f ()
+let rexmt_release sess =
+  match sess.locks with L_six { rexmt; _ } -> Lock.release rexmt | _ -> ()
 
-let with_hdr_rem sess f =
-  match sess.locks with L_six { hdr_rem; _ } -> Lock.with_lock hdr_rem f | _ -> f ()
+let hdr_prep_acquire sess =
+  match sess.locks with L_six { hdr_prep; _ } -> Lock.acquire hdr_prep | _ -> ()
+
+let hdr_prep_release sess =
+  match sess.locks with L_six { hdr_prep; _ } -> Lock.release hdr_prep | _ -> ()
+
+let hdr_rem_acquire sess =
+  match sess.locks with L_six { hdr_rem; _ } -> Lock.acquire hdr_rem | _ -> ()
+
+let hdr_rem_release sess =
+  match sess.locks with L_six { hdr_rem; _ } -> Lock.release hdr_rem | _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Per-pass scratch                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let io_take t =
+  if t.n_spare_io > 0 then begin
+    t.n_spare_io <- t.n_spare_io - 1;
+    t.spare_io.(t.n_spare_io)
+  end
+  else
+    {
+      key = { Conn_key.lport = 0; raddr = 0; rport = 0 };
+      segs = Array.make 2 t.nil_msg;
+      todos = Array.make 2 Ck_done;
+      n_segs = 0;
+      dels = Array.make 2 t.nil_msg;
+      n_dels = 0;
+    }
+
+(* A pass gives its record back empty: [transmit] and [upcall] empty the
+   lists they walk and clear the slots. *)
+let io_give t io =
+  if t.n_spare_io = Array.length t.spare_io then begin
+    let grown = Array.make (max 8 (2 * t.n_spare_io)) io in
+    Array.blit t.spare_io 0 grown 0 t.n_spare_io;
+    t.spare_io <- grown
+  end;
+  t.spare_io.(t.n_spare_io) <- io;
+  t.n_spare_io <- t.n_spare_io + 1
+
+let grow a = Array.append a a
+
+let io_add_seg io seg todo =
+  if io.n_segs = Array.length io.segs then begin
+    io.segs <- grow io.segs;
+    io.todos <- grow io.todos
+  end;
+  io.segs.(io.n_segs) <- seg;
+  io.todos.(io.n_segs) <- todo;
+  io.n_segs <- io.n_segs + 1
+
+let io_add_del io m =
+  if io.n_dels = Array.length io.dels then io.dels <- grow io.dels;
+  io.dels.(io.n_dels) <- m;
+  io.n_dels <- io.n_dels + 1
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -539,31 +618,51 @@ let advertised_window tcb = tcb.rcv_adv_wnd
 
 (* Build a segment. Caller holds the locks its discipline requires for the
    snd-state it read; Six additionally wraps the header work (and, per the
-   SICS code, the checksum) in the header-prepend lock. *)
-let emit sess ~flags ~seq ~payload acc =
+   SICS code, the checksum) in the header-prepend lock.  The header's
+   ack and window are read before that lock is taken. *)
+let emit sess io ~flags ~seq msg =
   let t = sess.proto in
   let tcb = sess.tcb in
-  let hdr =
-    {
-      Tcp_wire.sport = sess.key.Conn_key.lport;
-      dport = sess.key.Conn_key.rport;
-      seq;
-      ack = tcb.rcv_nxt;
-      flags;
-      win = advertised_window tcb;
-      cksum = 0;
-    }
+  let ack = tcb.rcv_nxt and win = advertised_window tcb in
+  hdr_prep_acquire sess;
+  Tcp_wire.encode msg ~sport:sess.key.Conn_key.lport ~dport:sess.key.Conn_key.rport ~seq ~ack
+    ~flags ~win;
+  let todo =
+    match sess.locks with
+    | L_six _ when t.cfg.checksum ->
+      (* SICS-style: checksum while the header lock is held. *)
+      Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
+        ~dst:sess.key.Conn_key.raddr msg;
+      Ck_done
+    | (L_one _ | L_two _ | L_rcu _) when t.cfg.checksum && t.cfg.cksum_under_lock ->
+      (* Ablation: the unrestructured placement, checksum inside the
+         connection-state lock the caller holds. *)
+      Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
+        ~dst:sess.key.Conn_key.raddr msg;
+      Ck_done
+    | _ -> Sum_and_fold
   in
-  match payload with
-  | None when Mpool.sum_cache_enabled () ->
+  hdr_prep_release sess;
+  sess.st.segs_out <- sess.st.segs_out + 1;
+  if Msg.length msg = Tcp_wire.header_bytes && not flags.Tcp_wire.syn then
+    sess.st.acks_out <- sess.st.acks_out + 1;
+  io_add_seg io msg todo
+
+(* A header-only segment (ACK, SYN, FIN). *)
+let emit_empty sess io ~flags ~seq =
+  let t = sess.proto in
+  let msg = Msg.create t.pool 0 in
+  if not (Mpool.sum_cache_enabled ()) then emit sess io ~flags ~seq msg
+  else begin
     (* Coalesced header-only emission (gated with the rest of the
        coalescing fast paths by PNP_NO_COALESCE): redundant pure ACKs all
        rebuild the same 24-byte shape, so build it in one pass with an
        arithmetic checksum instead of encode-then-rescan.  Wire bytes,
        stats, and every simulated charge are identical to the reference
-       path below — the checksum charge is placed exactly where that path
+       path above — the checksum charge is placed exactly where that path
        computed it. *)
-    let msg = Msg.create t.pool 0 in
+    let tcb = sess.tcb in
+    let ack = tcb.rcv_nxt and win = advertised_window tcb in
     let under_lock =
       t.cfg.checksum
       &&
@@ -572,71 +671,52 @@ let emit sess ~flags ~seq ~payload acc =
       | L_one _ | L_two _ | L_rcu _ -> t.cfg.cksum_under_lock
       | L_scr _ -> false
     in
-    with_hdr_prep sess (fun () ->
-        Tcp_wire.encode_empty msg hdr ~src:(Ip.local_addr t.ip)
-          ~dst:sess.key.Conn_key.raddr ~checksum:t.cfg.checksum;
-        if under_lock then Inet_cksum.charge t.plat msg);
+    hdr_prep_acquire sess;
+    Tcp_wire.encode_empty msg ~sport:sess.key.Conn_key.lport ~dport:sess.key.Conn_key.rport
+      ~seq ~ack ~flags ~win ~src:(Ip.local_addr t.ip) ~dst:sess.key.Conn_key.raddr
+      ~checksum:t.cfg.checksum;
+    if under_lock then Inet_cksum.charge t.plat msg;
+    hdr_prep_release sess;
     sess.st.segs_out <- sess.st.segs_out + 1;
     if not flags.Tcp_wire.syn then sess.st.acks_out <- sess.st.acks_out + 1;
-    let todo =
-      if t.cfg.checksum && not under_lock then Fold_charge else Ck_done
-    in
-    { seg = msg; todo } :: acc
-  | _ ->
-    let msg = match payload with Some m -> m | None -> Msg.create t.pool 0 in
-    let cksummed = ref false in
-    with_hdr_prep sess (fun () ->
-        Tcp_wire.encode msg hdr;
-        match sess.locks with
-        | L_six _ when t.cfg.checksum ->
-          (* SICS-style: checksum while the header lock is held. *)
-          Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
-            ~dst:sess.key.Conn_key.raddr msg;
-          cksummed := true
-        | (L_one _ | L_two _ | L_rcu _) when t.cfg.checksum && t.cfg.cksum_under_lock ->
-          (* Ablation: the unrestructured placement, checksum inside the
-             connection-state lock the caller holds. *)
-          Tcp_wire.store_checksum t.plat ~src:(Ip.local_addr t.ip)
-            ~dst:sess.key.Conn_key.raddr msg;
-          cksummed := true
-        | _ -> ());
-    sess.st.segs_out <- sess.st.segs_out + 1;
-    if Msg.length msg = Tcp_wire.header_bytes && not flags.Tcp_wire.syn then
-      sess.st.acks_out <- sess.st.acks_out + 1;
-    { seg = msg; todo = (if !cksummed then Ck_done else Sum_and_fold) } :: acc
+    io_add_seg io msg (if t.cfg.checksum && not under_lock then Fold_charge else Ck_done)
+  end
 
-let emit_ack sess acc =
+let emit_ack sess io =
   let tcb = sess.tcb in
   Costs.charge sess.proto.plat Costs.tcp_ack_locked;
   tcb.delack_pending <- false;
-  emit sess ~flags:Tcp_wire.flag_ack ~seq:tcb.snd_nxt ~payload:None acc
+  emit_empty sess io ~flags:Tcp_wire.flag_ack ~seq:tcb.snd_nxt
 
-(* Transmit segments built under the locks.  For One/Two the payload
-   checksum pass was charged before the lock was taken (the Section 5.1
-   restructuring: data is summed outside any connection-state lock and the
-   header folded in incrementally here), so only the header fold is
-   charged now. *)
-let transmit sess pendings =
+(* Transmit the segments built under the locks, in order, and empty
+   [io]'s segment list.  For One/Two the payload checksum pass was
+   charged before the lock was taken (the Section 5.1 restructuring: data
+   is summed outside any connection-state lock and the header folded in
+   incrementally here), so only the header fold is charged now.  A
+   driver may answer synchronously from inside [Ip.output]; that
+   re-entry runs with its own [io]. *)
+let transmit sess io =
   let t = sess.proto in
-  List.iter
-    (fun p ->
-      (match p.todo with
-       | Sum_and_fold when t.cfg.checksum ->
-         Tcp_wire.store_checksum_free ~src:(Ip.local_addr t.ip)
-           ~dst:sess.key.Conn_key.raddr p.seg;
-         Costs.charge t.plat 40 (* fold the header into the data sum *)
-       | Sum_and_fold ->
-         (* Zero checksum field: receivers skip verification too. *)
-         Msg.set_u16 p.seg 18 0
-       | Fold_charge ->
-         (* Checksum already stored arithmetically; the simulated fold
-            cost the reference path charges here is still due. *)
-         Costs.charge t.plat 40
-       | Ck_done -> ());
-      Costs.charge t.plat Costs.tcp_output_unlocked;
-      Ip.output t.ip ~proto:Tcp_wire.protocol_number ~dst:sess.key.Conn_key.raddr p.seg)
-    (List.rev pendings)
-
+  for i = 0 to io.n_segs - 1 do
+    let seg = io.segs.(i) in
+    (match io.todos.(i) with
+     | Sum_and_fold when t.cfg.checksum ->
+       Tcp_wire.store_checksum_free ~src:(Ip.local_addr t.ip)
+         ~dst:sess.key.Conn_key.raddr seg;
+       Costs.charge t.plat 40 (* fold the header into the data sum *)
+     | Sum_and_fold ->
+       (* Zero checksum field: receivers skip verification too. *)
+       Msg.set_u16 seg 18 0
+     | Fold_charge ->
+       (* Checksum already stored arithmetically; the simulated fold
+          cost the reference path charges here is still due. *)
+       Costs.charge t.plat 40
+     | Ck_done -> ());
+    Costs.charge t.plat Costs.tcp_output_unlocked;
+    Ip.output t.ip ~proto:Tcp_wire.protocol_number ~dst:sess.key.Conn_key.raddr seg
+  done;
+  Array.fill io.segs 0 io.n_segs t.nil_msg;
+  io.n_segs <- 0
 
 let set_rexmt_timer tcb =
   (* BSD floors the retransmit timer at 2 ticks: with one tick a restart
@@ -652,7 +732,7 @@ let set_rexmt_timer tcb =
    send-side wire order: sequence numbers are assigned at least a locked
    section apart, which exceeds the post-lock flight time to the driver
    (Section 4.1 measures <1% send-side misordering). *)
-let build_one sess =
+let build_one sess io =
   let t = sess.proto in
   let tcb = sess.tcb in
   access sess ~write:false "snd";
@@ -671,11 +751,10 @@ let build_one sess =
   if len > 0 && not nagle_holds then begin
     Costs.charge t.plat Costs.tcp_output_locked;
     access sess ~write:true "snd";
-    let payload =
-      with_rexmt_lock sess (fun () ->
-          access sess ~write:false "sb";
-          Sockbuf.peek tcb.sb ~off ~len)
-    in
+    rexmt_acquire sess;
+    access sess ~write:false "sb";
+    let payload = Sockbuf.peek tcb.sb ~off ~len in
+    rexmt_release sess;
     let seq = tcb.snd_nxt in
     tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt len;
     tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
@@ -686,7 +765,7 @@ let build_one sess =
     end;
     if tcb.t_rexmt = 0 then set_rexmt_timer tcb;
     tcb.delack_pending <- false;
-    emit sess ~flags:Tcp_wire.flag_ack ~seq ~payload:(Some payload) []
+    emit sess io ~flags:Tcp_wire.flag_ack ~seq payload
   end
   else if
     unsent > 0 && wnd - in_flight <= 0 && in_flight = 0
@@ -695,8 +774,7 @@ let build_one sess =
     (* Zero window with nothing in flight: nothing will ever ack; arm the
        persist timer so we probe the window (BSD tcp_setpersist). *)
     let ticks = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) in
-    tcb.t_persist <- ticks lsl min tcb.persist_shift 6;
-    []
+    tcb.t_persist <- ticks lsl min tcb.persist_shift 6
   end
   else if tcb.fin_queued && (not tcb.fin_sent) && unsent <= 0 then begin
     Costs.charge t.plat Costs.tcp_conn_setup;
@@ -706,31 +784,35 @@ let build_one sess =
     tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
     tcb.fin_sent <- true;
     if tcb.t_rexmt = 0 then set_rexmt_timer tcb;
-    emit sess ~flags:Tcp_wire.flag_fin_ack ~seq ~payload:None []
+    emit_empty sess io ~flags:Tcp_wire.flag_fin_ack ~seq
   end
-  else []
 
-(* Drain permitted data: one segment per lock hold (see build_one). *)
-let rec pump sess =
+(* Drain permitted data: one segment per lock hold (see build_one).
+   [io] carries no segments on entry. *)
+let rec pump sess io =
   output_acquire sess;
-  let segs = build_one sess in
+  build_one sess io;
   output_release sess;
-  match segs with
-  | [] -> ()
-  | _ ->
-    transmit sess segs;
-    pump sess
+  if io.n_segs > 0 then begin
+    transmit sess io;
+    pump sess io
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Input processing                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let rec resume_all now = function
+  | [] -> ()
+  | resume :: rest ->
+    resume now;
+    resume_all now rest
+
 let wake_sb_waiters sess =
   let tcb = sess.tcb in
   let ws = tcb.sb_waiters in
   tcb.sb_waiters <- [];
-  let now = Sim.now sess.proto.plat.Platform.sim in
-  List.iter (fun resume -> resume now) ws
+  resume_all (Sim.now sess.proto.plat.Platform.sim) ws
 
 let update_rtt tcb ~now =
   let delta = now - tcb.t_rtttime in
@@ -749,12 +831,11 @@ let update_rtt tcb ~now =
 
 (* Process an acceptable ack: drop acknowledged bytes, advance windows,
    grow the congestion window.  Caller holds send-state locks. *)
-let process_ack sess ~ack ~now acc =
+let process_ack sess ~ack ~now =
   let tcb = sess.tcb in
   let t = sess.proto in
   let acked = Tcp_seq.diff ack tcb.snd_una in
-  if acked <= 0 then acc
-  else begin
+  if acked > 0 then begin
     access sess ~write:true "snd";
     if tcb.t_rtttime <> 0 && Tcp_seq.gt ack tcb.t_rtseq then update_rtt tcb ~now;
     (* Congestion window growth (Tahoe). *)
@@ -768,11 +849,12 @@ let process_ack sess ~ack ~now acc =
       && Tcp_seq.diff tcb.snd_max tcb.snd_una = Sockbuf.cc tcb.sb + 1
     in
     let data_acked = min acked (Sockbuf.cc tcb.sb) in
-    with_rexmt_lock sess (fun () ->
-        if data_acked > 0 then begin
-          access sess ~write:true "sb";
-          Sockbuf.drop tcb.sb data_acked
-        end);
+    rexmt_acquire sess;
+    if data_acked > 0 then begin
+      access sess ~write:true "sb";
+      Sockbuf.drop tcb.sb data_acked
+    end;
+    rexmt_release sess;
     tcb.snd_una <- ack;
     if Tcp_seq.lt tcb.snd_nxt tcb.snd_una then tcb.snd_nxt <- tcb.snd_una;
     tcb.dupacks <- 0;
@@ -780,14 +862,13 @@ let process_ack sess ~ack ~now acc =
     if Tcp_seq.geq tcb.snd_una tcb.snd_max then tcb.t_rexmt <- 0 else set_rexmt_timer tcb;
     wake_sb_waiters sess;
     (* FIN-related state advances. *)
-    (match tcb.state with
-     | Fin_wait_1 when fin_acked -> tcb.state <- Fin_wait_2
-     | Closing when fin_acked ->
-       tcb.state <- Time_wait;
-       tcb.t_2msl <- msl_ticks
-     | Last_ack when fin_acked -> tcb.state <- Closed
-     | _ -> ());
-    acc
+    match tcb.state with
+    | Fin_wait_1 when fin_acked -> tcb.state <- Fin_wait_2
+    | Closing when fin_acked ->
+      tcb.state <- Time_wait;
+      tcb.t_2msl <- msl_ticks
+    | Last_ack when fin_acked -> tcb.state <- Closed
+    | _ -> ()
   end
 
 (* Retransmit one segment from the front of the window (timeout or fast
@@ -795,7 +876,7 @@ let process_ack sess ~ack ~now acc =
    front of the window is the SYN (or SYN-ACK) itself: re-emitting it is
    what keeps handshakes live across a lossy link or a backlog drop —
    without it a single lost SYN wedges the connect forever. *)
-let retransmit sess acc =
+let retransmit sess io =
   let t = sess.proto in
   let tcb = sess.tcb in
   sess.st.rexmits <- sess.st.rexmits + 1;
@@ -806,95 +887,97 @@ let retransmit sess acc =
     (* The caller rewound snd_nxt to snd_una (= iss); the re-emitted SYN
        occupies that sequence slot again. *)
     tcb.snd_nxt <- Tcp_seq.max tcb.snd_nxt (Tcp_seq.add tcb.iss 1);
-    emit sess ~flags:Tcp_wire.flag_syn ~seq:tcb.iss ~payload:None acc
+    emit_empty sess io ~flags:Tcp_wire.flag_syn ~seq:tcb.iss
   | Syn_received ->
     tcb.snd_nxt <- Tcp_seq.max tcb.snd_nxt (Tcp_seq.add tcb.iss 1);
-    emit sess ~flags:Tcp_wire.flag_syn_ack ~seq:tcb.iss ~payload:None acc
+    emit_empty sess io ~flags:Tcp_wire.flag_syn_ack ~seq:tcb.iss
   | _ ->
     let len = min t.cfg.mss (Sockbuf.cc tcb.sb) in
     tcb.snd_nxt <- Tcp_seq.max tcb.snd_nxt (Tcp_seq.add tcb.snd_una len);
     if len > 0 then begin
-      let payload =
-        with_rexmt_lock sess (fun () ->
-            access sess ~write:false "sb";
-            Sockbuf.peek tcb.sb ~off:0 ~len)
-      in
-      emit sess ~flags:Tcp_wire.flag_ack ~seq:tcb.snd_una ~payload:(Some payload) acc
+      rexmt_acquire sess;
+      access sess ~write:false "sb";
+      let payload = Sockbuf.peek tcb.sb ~off:0 ~len in
+      rexmt_release sess;
+      emit sess io ~flags:Tcp_wire.flag_ack ~seq:tcb.snd_una payload
     end
-    else if tcb.fin_sent then
-      emit sess ~flags:Tcp_wire.flag_fin_ack ~seq:tcb.snd_una ~payload:None acc
-    else acc
+    else if tcb.fin_sent then emit_empty sess io ~flags:Tcp_wire.flag_fin_ack ~seq:tcb.snd_una
 
 (* Insert an out-of-order segment into the reassembly queue (no overlap
    merging: overlapping duplicates were trimmed by the caller, and our
    peers never send overlapping runs). *)
+let rec reass_ins seq msg = function
+  | [] -> [ (seq, msg) ]
+  | (s, m) :: rest as all ->
+    if Tcp_seq.lt seq s then (seq, msg) :: all
+    else if seq = s then begin
+      (* exact duplicate *)
+      Msg.destroy msg;
+      all
+    end
+    else (s, m) :: reass_ins seq msg rest
+
 let reass_insert sess seq msg =
   let tcb = sess.tcb in
   sess.st.reass_inserts <- sess.st.reass_inserts + 1;
   Costs.charge sess.proto.plat Costs.tcp_reass_insert;
-  with_reass_lock sess (fun () ->
-      access sess ~write:true "reass";
-      let rec ins = function
-        | [] -> [ (seq, msg) ]
-        | (s, m) :: rest as all ->
-          if Tcp_seq.lt seq s then (seq, msg) :: all
-          else if seq = s then begin
-            (* exact duplicate *)
-            Msg.destroy msg;
-            all
-          end
-          else (s, m) :: ins rest
-      in
-      tcb.reass <- ins tcb.reass)
+  reass_acquire sess;
+  access sess ~write:true "reass";
+  tcb.reass <- reass_ins seq msg tcb.reass;
+  reass_release sess
 
-(* Drain now-contiguous segments from the reassembly queue. *)
-let reass_drain sess deliveries =
+(* Drain now-contiguous segments from the reassembly queue into [io]'s
+   deliveries, then count their bytes in. *)
+let rec reass_take sess io =
+  let tcb = sess.tcb in
+  match tcb.reass with
+  | (s, m) :: rest when s = tcb.rcv_nxt ->
+    Costs.charge sess.proto.plat Costs.tcp_reass_drain_per_seg;
+    tcb.reass <- rest;
+    tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt (Msg.length m);
+    io_add_del io m;
+    reass_take sess io
+  | (s, m) :: rest when Tcp_seq.lt s tcb.rcv_nxt ->
+    (* stale duplicate that got queued *)
+    Msg.destroy m;
+    tcb.reass <- rest;
+    reass_take sess io
+  | _ -> ()
+
+let reass_drain sess io =
   let tcb = sess.tcb in
   (* lint:allow state-matrix: caller-locked — reached only from slow_path,
      under segment_arrives' input locks (and, for discipline six, the
      reass lock it acquires up front). *)
   if tcb.reass <> [] then access sess ~write:true "reass";
-  let rec go acc =
-    match tcb.reass with
-    | (s, m) :: rest when s = tcb.rcv_nxt ->
-      Costs.charge sess.proto.plat Costs.tcp_reass_drain_per_seg;
-      tcb.reass <- rest;
-      tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt (Msg.length m);
-      go (m :: acc)
-    | (s, m) :: rest when Tcp_seq.lt s tcb.rcv_nxt ->
-      (* stale duplicate that got queued *)
-      Msg.destroy m;
-      tcb.reass <- rest;
-      go acc
-    | _ -> List.rev acc
-  in
-  let msgs = go [] in
-  List.fold_left
-    (fun dels m ->
-      sess.st.bytes_in <- sess.st.bytes_in + Msg.length m;
-      m :: dels)
-    deliveries msgs
+  let first = io.n_dels in
+  reass_take sess io;
+  for i = first to io.n_dels - 1 do
+    sess.st.bytes_in <- sess.st.bytes_in + Msg.length io.dels.(i)
+  done
 
 (* Deliver one in-order payload (fast path). *)
-let deliver_in_order sess msg deliveries =
+let deliver_in_order sess io msg =
   sess.st.bytes_in <- sess.st.bytes_in + Msg.length msg;
-  msg :: deliveries
+  io_add_del io msg
 
-(* The full (slow-path) segment processing for an established-ish state.
-   Returns (to_send, deliveries) accumulated. *)
-let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
+(* The full (slow-path) segment processing for an established-ish state;
+   segments to send and payloads to deliver accumulate in [io]. *)
+let slow_path sess io ~seq ~ack ~(flags : Tcp_wire.flags) ~win msg ~now =
+  (* lint:allow state-matrix: caller-locked — under segment_arrives'
+     input_acquire, which also holds the send state the ack processing
+     below touches (SCR: inside the apply section). *)
   let t = sess.proto in
   let tcb = sess.tcb in
   Costs.charge t.plat Costs.tcp_input_slow_locked;
   sess.st.pred_misses <- sess.st.pred_misses + 1;
-  let acc = ref acc and deliveries = ref deliveries in
-  let seq = ref hdr.seq in
+  let seq = ref seq in
   let ack_now = ref false in
   (* Trim data we already received. *)
   let overlap = Tcp_seq.diff tcb.rcv_nxt !seq in
   if overlap > 0 then begin
     let len = Msg.length msg in
-    if overlap >= len && not hdr.flags.Tcp_wire.syn then begin
+    if overlap >= len && not flags.Tcp_wire.syn then begin
       (* complete duplicate: ack it again *)
       Msg.truncate msg 0;
       ack_now := true;
@@ -906,32 +989,29 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     end
   end;
   (* Window update. *)
-  if hdr.flags.Tcp_wire.ack then begin
+  if flags.Tcp_wire.ack then begin
     access sess ~write:true "snd";
-    tcb.snd_wnd <- hdr.win;
-    if hdr.win > 0 then begin
+    tcb.snd_wnd <- win;
+    if win > 0 then begin
       tcb.t_persist <- 0;
       tcb.persist_shift <- 0
     end;
     (* Ack processing (may include duplicate-ack fast retransmit). *)
-    with_send_state sess (fun () ->
-        if Tcp_seq.gt hdr.ack tcb.snd_una && Tcp_seq.leq hdr.ack tcb.snd_max then
-          acc := process_ack sess ~ack:hdr.ack ~now !acc
-        else if
-          Msg.length msg = 0 && hdr.ack = tcb.snd_una
-          && Tcp_seq.gt tcb.snd_max tcb.snd_una
-        then begin
-          sess.st.dup_acks <- sess.st.dup_acks + 1;
-          tcb.dupacks <- tcb.dupacks + 1;
-          if tcb.dupacks = 3 then begin
-            (* Tahoe fast retransmit *)
-            let flight = min tcb.snd_wnd tcb.snd_cwnd in
-            tcb.snd_ssthresh <- max (2 * t.cfg.mss) (flight / 2);
-            tcb.snd_cwnd <- t.cfg.mss;
-            tcb.snd_nxt <- tcb.snd_una;
-            acc := retransmit sess !acc
-          end
-        end)
+    if Tcp_seq.gt ack tcb.snd_una && Tcp_seq.leq ack tcb.snd_max then
+      process_ack sess ~ack ~now
+    else if Msg.length msg = 0 && ack = tcb.snd_una && Tcp_seq.gt tcb.snd_max tcb.snd_una
+    then begin
+      sess.st.dup_acks <- sess.st.dup_acks + 1;
+      tcb.dupacks <- tcb.dupacks + 1;
+      if tcb.dupacks = 3 then begin
+        (* Tahoe fast retransmit *)
+        let flight = min tcb.snd_wnd tcb.snd_cwnd in
+        tcb.snd_ssthresh <- max (2 * t.cfg.mss) (flight / 2);
+        tcb.snd_cwnd <- t.cfg.mss;
+        tcb.snd_nxt <- tcb.snd_una;
+        retransmit sess io
+      end
+    end
   end;
   (* Data. *)
   let len = Msg.length msg in
@@ -939,8 +1019,8 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
     if !seq = tcb.rcv_nxt then begin
       access sess ~write:true "rcv";
       tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt len;
-      deliveries := deliver_in_order sess msg !deliveries;
-      deliveries := reass_drain sess !deliveries;
+      deliver_in_order sess io msg;
+      reass_drain sess io;
       if tcb.delack_pending then ack_now := true else tcb.delack_pending <- true
     end
     else begin
@@ -949,10 +1029,10 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
       ack_now := true
     end
   end
-  else if len = 0 && not (hdr.flags.Tcp_wire.fin || hdr.flags.Tcp_wire.syn) then
+  else if len = 0 && not (flags.Tcp_wire.fin || flags.Tcp_wire.syn) then
     Msg.destroy msg;
   (* FIN handling. *)
-  if hdr.flags.Tcp_wire.fin then begin
+  if flags.Tcp_wire.fin then begin
     let fin_seq = Tcp_seq.add !seq len in
     if fin_seq = tcb.rcv_nxt then begin
       access sess ~write:true "rcv";
@@ -991,72 +1071,63 @@ let slow_path sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
    | _ -> ());
   (* New data permitted by the ack is sent by the caller (pump) after the
      input locks drop; here only emit an explicit ack if required. *)
-  if !ack_now then acc := emit_ack sess !acc;
-  (!acc, !deliveries)
+  if !ack_now then emit_ack sess io
 
 (* Header prediction, Net/2 style (Section 4.1 depends on this fast path
    being order-sensitive). *)
-let established_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
+let established_input sess io ~seq ~ack ~(flags : Tcp_wire.flags) ~win msg ~now =
+  (* lint:allow state-matrix: caller-locked — under segment_arrives'
+     input_acquire, like slow_path (SCR: inside the apply section). *)
   let t = sess.proto in
   let tcb = sess.tcb in
   let len = Msg.length msg in
   (* The Figure 10 "assumed in-order" upper bound: pretend every data
      segment landed exactly on rcv_nxt. *)
-  let hdr =
-    if t.cfg.assume_in_order && len > 0 && hdr.flags.Tcp_wire.ack && not hdr.flags.Tcp_wire.fin
-    then { hdr with Tcp_wire.seq = tcb.rcv_nxt; ack = tcb.snd_una }
-    else hdr
+  let in_order =
+    t.cfg.assume_in_order && len > 0 && flags.Tcp_wire.ack && not flags.Tcp_wire.fin
   in
-  if len > 0 && hdr.seq <> tcb.rcv_nxt then
+  let seq = if in_order then tcb.rcv_nxt else seq in
+  let ack = if in_order then tcb.snd_una else ack in
+  if len > 0 && seq <> tcb.rcv_nxt then
     sess.st.ooo_segs <- sess.st.ooo_segs + 1;
-  let f = hdr.flags in
-  if f.Tcp_wire.rst then begin
+  if flags.Tcp_wire.rst then begin
     (* A reset tears the connection down immediately (no challenge-ack
        subtleties; the simulated network cannot spoof). *)
     tcb.state <- Closed;
     tcb.t_rexmt <- 0;
     tcb.t_persist <- 0;
-    Msg.destroy msg;
-    (acc, deliveries)
+    Msg.destroy msg
   end
   else
   let predictable =
-    tcb.state = Established && f.Tcp_wire.ack
-    && (not (f.Tcp_wire.syn || f.Tcp_wire.fin || f.Tcp_wire.rst))
-    && hdr.win = tcb.snd_wnd
+    tcb.state = Established && flags.Tcp_wire.ack
+    && (not (flags.Tcp_wire.syn || flags.Tcp_wire.fin || flags.Tcp_wire.rst))
+    && win = tcb.snd_wnd
     && tcb.snd_nxt = tcb.snd_max
-    && hdr.seq = tcb.rcv_nxt
+    && seq = tcb.rcv_nxt
   in
-  if predictable && len = 0 && Tcp_seq.gt hdr.ack tcb.snd_una
-     && Tcp_seq.leq hdr.ack tcb.snd_max
+  if predictable && len = 0 && Tcp_seq.gt ack tcb.snd_una
+     && Tcp_seq.leq ack tcb.snd_max
      && tcb.snd_cwnd >= tcb.snd_wnd
   then begin
     (* Fast path 1: pure ack advancing snd_una. *)
     Costs.charge t.plat Costs.tcp_input_pred_locked;
     sess.st.pred_hits <- sess.st.pred_hits + 1;
     Msg.destroy msg;
-    let acc = with_send_state sess (fun () -> process_ack sess ~ack:hdr.ack ~now acc) in
-    (acc, deliveries)
+    process_ack sess ~ack ~now
   end
-  else if predictable && len > 0 && hdr.ack = tcb.snd_una && tcb.reass = [] then begin
+  else if predictable && len > 0 && ack = tcb.snd_una && tcb.reass = [] then begin
     (* Fast path 2: pure in-order data. *)
     Costs.charge t.plat Costs.tcp_input_pred_locked;
     sess.st.pred_hits <- sess.st.pred_hits + 1;
     access sess ~write:true "rcv";
     tcb.rcv_nxt <- Tcp_seq.add tcb.rcv_nxt len;
-    let deliveries = deliver_in_order sess msg deliveries in
+    deliver_in_order sess io msg;
     (* Net/2 acks every other segment: the first leaves a delayed ack
        pending, the second forces it out. *)
-    let acc =
-      if tcb.delack_pending then emit_ack sess acc
-      else begin
-        tcb.delack_pending <- true;
-        acc
-      end
-    in
-    (acc, deliveries)
+    if tcb.delack_pending then emit_ack sess io else tcb.delack_pending <- true
   end
-  else slow_path sess hdr msg ~now acc deliveries
+  else slow_path sess io ~seq ~ack ~flags ~win msg ~now
 
 (* A child leaving Syn_received gives its listener's backlog slot back.
    The listener is found through the wildcard demux entry; if it closed
@@ -1073,17 +1144,16 @@ let release_syn_slot sess =
   end
 
 (* Non-established states: the connection machinery. *)
-let opening_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
+let opening_input sess io ~seq ~ack ~(flags : Tcp_wire.flags) ~win msg ~now =
   let t = sess.proto in
   let tcb = sess.tcb in
   Costs.charge t.plat Costs.tcp_conn_setup;
-  let f = hdr.flags in
   match tcb.state with
-  | Syn_sent when f.Tcp_wire.syn && f.Tcp_wire.ack && hdr.ack = Tcp_seq.add tcb.iss 1 ->
-    tcb.irs <- hdr.seq;
-    tcb.rcv_nxt <- Tcp_seq.add hdr.seq 1;
-    tcb.snd_una <- hdr.ack;
-    tcb.snd_wnd <- hdr.win;
+  | Syn_sent when flags.Tcp_wire.syn && flags.Tcp_wire.ack && ack = Tcp_seq.add tcb.iss 1 ->
+    tcb.irs <- seq;
+    tcb.rcv_nxt <- Tcp_seq.add seq 1;
+    tcb.snd_una <- ack;
+    tcb.snd_wnd <- win;
     tcb.state <- Established;
     tcb.t_rexmt <- 0;
     Msg.destroy msg;
@@ -1094,36 +1164,48 @@ let opening_input sess (hdr : Tcp_wire.header) msg ~now acc deliveries =
           input processing has consumed simulated time since then. *)
        resume (Sim.now t.plat.Platform.sim)
      | None -> ());
-    (emit_ack sess acc, deliveries)
-  | Syn_received when f.Tcp_wire.ack && hdr.ack = Tcp_seq.add tcb.iss 1 ->
-    tcb.snd_una <- hdr.ack;
-    tcb.snd_wnd <- hdr.win;
+    emit_ack sess io
+  | Syn_received when flags.Tcp_wire.ack && ack = Tcp_seq.add tcb.iss 1 ->
+    tcb.snd_una <- ack;
+    tcb.snd_wnd <- win;
     tcb.state <- Established;
     tcb.t_rexmt <- 0;
     release_syn_slot sess;
     if Msg.length msg > 0 then
       (* data arrived with the handshake ack *)
-      established_input sess { hdr with Tcp_wire.flags = Tcp_wire.flag_ack } msg ~now acc
-        deliveries
-    else begin
-      Msg.destroy msg;
-      (acc, deliveries)
-    end
-  | Time_wait when f.Tcp_wire.fin ->
+      established_input sess io ~seq ~ack ~flags:Tcp_wire.flag_ack ~win msg ~now
+    else Msg.destroy msg
+  | Time_wait when flags.Tcp_wire.fin ->
     (* peer retransmitted its FIN: re-ack *)
     Msg.destroy msg;
-    (emit_ack sess acc, deliveries)
-  | _ when f.Tcp_wire.rst ->
+    emit_ack sess io
+  | _ when flags.Tcp_wire.rst ->
     tcb.state <- Closed;
     release_syn_slot sess;
-    Msg.destroy msg;
-    (acc, deliveries)
+    Msg.destroy msg
   | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing | Last_ack ->
-    established_input sess hdr msg ~now acc deliveries
+    established_input sess io ~seq ~ack ~flags ~win msg ~now
   | _ ->
     (* Drop everything else. *)
-    Msg.destroy msg;
-    (acc, deliveries)
+    Msg.destroy msg
+
+(* One segment through the connection state machine. *)
+let state_input sess io ~seq ~ack ~(flags : Tcp_wire.flags) ~win msg ~now =
+  match sess.tcb.state with
+  | Established -> established_input sess io ~seq ~ack ~flags ~win msg ~now
+  | _ -> opening_input sess io ~seq ~ack ~flags ~win msg ~now
+
+(* Hand [io]'s in-order payloads to the receiver, oldest first, and empty
+   the list. *)
+let upcall sess io ~seq =
+  let plat = sess.proto.plat in
+  span_begin plat ~seq Trace.Upcall;
+  for i = 0 to io.n_dels - 1 do
+    sess.receiver io.dels.(i)
+  done;
+  Array.fill io.dels 0 io.n_dels sess.proto.nil_msg;
+  io.n_dels <- 0;
+  span_end plat ~seq Trace.Upcall
 
 (* ------------------------------------------------------------------ *)
 (* State-compute replication (SCR) input path                          *)
@@ -1146,8 +1228,7 @@ let scr_append_entry sess log hdr msg =
         e_msg = msg;
         e_applied = false;
         e_cost = 0;
-        e_out = [];
-        e_deliveries = [];
+        e_io = None;
         e_fin = false;
       };
   log.sl_tail <- idx + 1;
@@ -1178,17 +1259,15 @@ let scr_apply_entry sess log idx =
     let sim = sess.proto.plat.Platform.sim in
     let now = Sim.now sim in
     Sim.defer_begin sim;
-    let acc, deliveries =
-      match sess.tcb.state with
-      | Established -> established_input sess e.e_hdr e.e_msg ~now [] []
-      | _ -> opening_input sess e.e_hdr e.e_msg ~now [] []
-    in
-    e.e_out <- acc;
-    e.e_deliveries <- deliveries;
+    let io = io_take sess.proto in
+    let h = e.e_hdr in
+    state_input sess io ~seq:h.Tcp_wire.seq ~ack:h.Tcp_wire.ack ~flags:h.Tcp_wire.flags
+      ~win:h.Tcp_wire.win e.e_msg ~now;
+    e.e_io <- Some io;
     e.e_fin <-
       (match sess.tcb.state with
        | Close_wait | Closing | Last_ack | Time_wait -> true
-       | Closed -> e.e_hdr.Tcp_wire.flags.Tcp_wire.fin
+       | Closed -> h.Tcp_wire.flags.Tcp_wire.fin
        | _ -> false);
     e.e_cost <- Sim.defer_end sim;
     if sync_tracing sess then
@@ -1244,15 +1323,12 @@ let scr_segment_arrives sess log (hdr : Tcp_wire.header) msg =
   span_begin t.plat ~seq:hdr.seq Trace.Tcp_input;
   Sim.delay sim e.e_cost;
   span_end t.plat ~seq:hdr.seq Trace.Tcp_input;
-  let out = e.e_out in
-  e.e_out <- [];
-  transmit sess out;
-  pump sess;
-  let deliveries = e.e_deliveries in
-  e.e_deliveries <- [];
-  span_begin t.plat ~seq:hdr.seq Trace.Upcall;
-  List.iter (fun m -> sess.receiver m) (List.rev deliveries);
-  span_end t.plat ~seq:hdr.seq Trace.Upcall;
+  let io = match e.e_io with Some io -> io | None -> io_take t in
+  e.e_io <- None;
+  transmit sess io;
+  pump sess io;
+  upcall sess io ~seq:hdr.seq;
+  io_give t io;
   if e.e_fin then sess.on_fin ()
 
 (* ------------------------------------------------------------------ *)
@@ -1264,22 +1340,16 @@ let scr_segment_arrives sess log (hdr : Tcp_wire.header) msg =
 let rcu_emit_dup_ack sess snap =
   let t = sess.proto in
   Costs.charge t.plat Costs.tcp_ack_locked;
-  let hdr =
-    {
-      Tcp_wire.sport = sess.key.Conn_key.lport;
-      dport = sess.key.Conn_key.rport;
-      seq = snap.r_snd_nxt;
-      ack = snap.r_rcv_nxt;
-      flags = Tcp_wire.flag_ack;
-      win = sess.tcb.rcv_adv_wnd; (* immutable after creation *)
-      cksum = 0;
-    }
-  in
   let msg = Msg.create t.pool 0 in
-  Tcp_wire.encode msg hdr;
+  Tcp_wire.encode msg ~sport:sess.key.Conn_key.lport ~dport:sess.key.Conn_key.rport
+    ~seq:snap.r_snd_nxt ~ack:snap.r_rcv_nxt ~flags:Tcp_wire.flag_ack
+    ~win:sess.tcb.rcv_adv_wnd (* immutable after creation *);
   sess.st.segs_out <- sess.st.segs_out + 1;
   sess.st.acks_out <- sess.st.acks_out + 1;
-  transmit sess [ { seg = msg; todo = Sum_and_fold } ]
+  let io = io_take t in
+  io_add_seg io msg Sum_and_fold;
+  transmit sess io;
+  io_give t io
 
 (* The lock-free read path: process a segment without the writer lock
    when the snapshot proves it cannot change connection state.  Two
@@ -1293,20 +1363,19 @@ let rcu_emit_dup_ack sess snap =
      emit the same ack.
    Readers touch no tcb field the writer mutates, so they emit no
    Access annotations; the snapshot swap is the synchronisation. *)
-let rcu_try_read sess r (hdr : Tcp_wire.header) msg =
+let rcu_try_read sess r ~seq ~ack ~(flags : Tcp_wire.flags) ~win msg =
   let t = sess.proto in
   if t.cfg.checksum && t.cfg.cksum_under_lock then false
   else begin
     let snap = r.ru_snap in
-    let f = hdr.Tcp_wire.flags in
     let len = Msg.length msg in
     if
       snap.r_state = Established
-      && f.Tcp_wire.ack
-      && (not (f.Tcp_wire.syn || f.Tcp_wire.fin || f.Tcp_wire.rst))
-      && hdr.win = snap.r_snd_wnd
+      && flags.Tcp_wire.ack
+      && (not (flags.Tcp_wire.syn || flags.Tcp_wire.fin || flags.Tcp_wire.rst))
+      && win = snap.r_snd_wnd
       && snap.r_snd_max = snap.r_snd_una
-      && Tcp_seq.leq hdr.ack snap.r_snd_una
+      && Tcp_seq.leq ack snap.r_snd_una
     then
       if len = 0 then begin
         r.ru_reads <- r.ru_reads + 1;
@@ -1316,7 +1385,7 @@ let rcu_try_read sess r (hdr : Tcp_wire.header) msg =
         Msg.destroy msg;
         true
       end
-      else if Tcp_seq.leq (Tcp_seq.add hdr.seq len) snap.r_rcv_nxt then begin
+      else if Tcp_seq.leq (Tcp_seq.add seq len) snap.r_rcv_nxt then begin
         r.ru_reads <- r.ru_reads + 1;
         Costs.charge t.plat Costs.rcu_read;
         if sync_tracing sess then
@@ -1329,24 +1398,31 @@ let rcu_try_read sess r (hdr : Tcp_wire.header) msg =
     else false
   end
 
-let segment_arrives sess (hdr : Tcp_wire.header) msg =
+(* One segment for an existing session.  The header fields arrive as
+   arguments: they stay this thread's own while it parks in
+   [input_acquire] or re-enters [input] from a driver. *)
+let segment_arrives sess io ~sport ~seq ~ack ~(flags : Tcp_wire.flags) ~win ~cksum msg =
   let t = sess.proto in
   let now = Sim.now t.plat.Platform.sim in
   (* Input work that needs no connection state: parsing, validation. *)
   Costs.charge t.plat Costs.tcp_input_unlocked;
   sess.st.segs_in <- sess.st.segs_in + 1;
-  if Msg.length msg = 0 && hdr.flags.Tcp_wire.ack && not hdr.flags.Tcp_wire.syn then
+  if Msg.length msg = 0 && flags.Tcp_wire.ack && not flags.Tcp_wire.syn then
     sess.st.acks_in <- sess.st.acks_in + 1;
   match sess.locks with
-  | L_scr log -> scr_segment_arrives sess log hdr msg
-  | L_rcu r when rcu_try_read sess r hdr msg -> ()
+  | L_scr log ->
+    (* The log keeps each segment's header as a record. *)
+    scr_segment_arrives sess log
+      { Tcp_wire.sport; dport = sess.key.Conn_key.lport; seq; ack; flags; win; cksum }
+      msg
+  | L_rcu r when rcu_try_read sess r ~seq ~ack ~flags ~win msg -> ()
   | _ ->
   let is_data = Msg.length msg > 0 in
   let plat = t.plat in
-  span_begin plat ~seq:hdr.seq Trace.Lock_wait;
+  span_begin plat ~seq Trace.Lock_wait;
   input_acquire sess;
-  span_end plat ~seq:hdr.seq Trace.Lock_wait;
-  span_begin plat ~seq:hdr.seq Trace.Tcp_input;
+  span_end plat ~seq Trace.Lock_wait;
+  span_begin plat ~seq Trace.Tcp_input;
   (* Ablation: verification charged while the state locks are held. *)
   if t.cfg.checksum && t.cfg.cksum_under_lock then
     Membus.consume t.plat.Platform.bus ~bytes:(Msg.length msg + Tcp_wire.header_bytes);
@@ -1362,39 +1438,30 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
      Lock.release rexmt;
      Lock.release reass
    | L_one _ | L_two _ | L_scr _ | L_rcu _ -> ());
-  let acc, deliveries =
-    match sess.tcb.state with
-    | Established -> established_input sess hdr msg ~now [] []
-    | _ -> opening_input sess hdr msg ~now [] []
-  in
+  state_input sess io ~seq ~ack ~flags ~win msg ~now;
   (* Section 4.2: before releasing the connection-state lock, a receiving
      thread acquires an up-ticket for the next higher layer; above TCP it
      waits for its ticket to be called.  Every data segment's thread goes
      through the gate — even one whose segment only joined the reassembly
-     queue — which is what restricts order and limits performance. *)
+     queue — which is what restricts order and limits performance.  -1:
+     no ticket. *)
   let ticket =
-    if t.cfg.ticketing && is_data && sess.tcb.state <> Listen then
-      Some (Gate.take sess.gate)
-    else None
+    if t.cfg.ticketing && is_data && sess.tcb.state <> Listen then Gate.take sess.gate
+    else -1
   in
   input_release sess;
-  span_end plat ~seq:hdr.seq Trace.Tcp_input;
-  transmit sess acc;
+  span_end plat ~seq Trace.Tcp_input;
+  transmit sess io;
   (* Send whatever the ack (or window update) made possible. *)
-  pump sess;
+  pump sess io;
   (* Upcalls happen outside all connection locks — exactly the point where
      ordering can be lost without ticketing (Section 4.2). *)
-  let upcall () =
-    span_begin plat ~seq:hdr.seq Trace.Upcall;
-    List.iter (fun m -> sess.receiver m) (List.rev deliveries);
-    span_end plat ~seq:hdr.seq Trace.Upcall
-  in
-  (match ticket with
-   | Some k ->
-     Gate.await sess.gate k;
-     upcall ();
-     Gate.advance sess.gate
-   | None -> upcall ());
+  if ticket >= 0 then begin
+    Gate.await sess.gate ticket;
+    upcall sess io ~seq;
+    Gate.advance sess.gate
+  end
+  else upcall sess io ~seq;
   (* Tell the application about an in-order FIN (idempotent upcall).  The
      state, not this segment's FIN flag, is what matters: a FIN that
      arrived out of order sits in [rcv_fin_seq] until a retransmission
@@ -1402,7 +1469,7 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
   if
     (match sess.tcb.state with
      | Close_wait | Closing | Last_ack | Time_wait -> true
-     | Closed -> hdr.flags.Tcp_wire.fin
+     | Closed -> flags.Tcp_wire.fin
      | _ -> false)
   then sess.on_fin ()
 
@@ -1410,25 +1477,34 @@ let segment_arrives sess (hdr : Tcp_wire.header) msg =
 (* Demultiplexing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let lookup_session t ~lport ~raddr ~rport =
-  match Conn_map.lookup t.conns { Conn_key.lport; raddr; rport } with
-  | Some s -> Some s
-  | None -> Conn_map.lookup t.conns { Conn_key.lport; raddr = 0; rport = 0 }
+(* The connection, else the port's listener, looked up with [io]'s
+   scratch key. *)
+let lookup_session t (io : io) ~lport ~raddr ~rport =
+  let k = io.key in
+  k.Conn_key.lport <- lport;
+  k.Conn_key.raddr <- raddr;
+  k.Conn_key.rport <- rport;
+  match Conn_map.lookup t.conns k with
+  | Some _ as found -> found
+  | None ->
+    k.Conn_key.raddr <- 0;
+    k.Conn_key.rport <- 0;
+    Conn_map.lookup t.conns k
 
-let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
+let handshake_syn t io listener_key accept ~sport ~seq ~win ~src =
   (* Passive open: make the child session and send SYN-ACK. *)
-  let key = { Conn_key.lport = listener_key.Conn_key.lport; raddr = src; rport = hdr.sport } in
+  let key = { Conn_key.lport = listener_key.Conn_key.lport; raddr = src; rport = sport } in
   let sess = fresh_session t key in
   let tcb = sess.tcb in
   tcb.state <- Syn_received;
   tcb.syn_counted <- true;
-  tcb.irs <- hdr.seq;
-  tcb.rcv_nxt <- Tcp_seq.add hdr.seq 1;
+  tcb.irs <- seq;
+  tcb.rcv_nxt <- Tcp_seq.add seq 1;
   tcb.iss <- Tcp_seq.mask ((Atomic_ctr.incr t.iss_source * 64021) + (Ip.local_addr t.ip * 7919));
   tcb.snd_una <- tcb.iss;
   tcb.snd_nxt <- Tcp_seq.add tcb.iss 1;
   tcb.snd_max <- tcb.snd_nxt;
-  tcb.snd_wnd <- hdr.win;
+  tcb.snd_wnd <- win;
   (* A lost SYN-ACK must not wedge the child in Syn_received: arm the
      retransmission timer so [retransmit] re-emits it. *)
   set_rexmt_timer tcb;
@@ -1438,61 +1514,62 @@ let handshake_syn t listener_key accept (hdr : Tcp_wire.header) ~src =
       t.all_sessions <- sess :: t.all_sessions);
   (* Let the application attach its receiver before any data can race in. *)
   accept sess;
-  let acc = emit sess ~flags:Tcp_wire.flag_syn_ack ~seq:tcb.iss ~payload:None [] in
-  transmit sess acc
+  emit_empty sess io ~flags:Tcp_wire.flag_syn_ack ~seq:tcb.iss;
+  transmit sess io
 
+(* Checksum verification for the disciplines that verify inside the
+   header-removal section (Six): [true] when the segment may proceed. *)
+let six_cksum_ok t ~src ~dst ~cksum msg =
+  match t.cfg.locking with
+  | Six
+    when t.cfg.checksum && cksum <> 0 && not (Tcp_wire.verify_checksum t.plat ~src ~dst msg) ->
+    t.cksum_failures <- t.cksum_failures + 1;
+    false
+  | One | Two | Six | Scr | Rcu -> true
+
+(* The header is read field by field into locals, which stay this
+   thread's own across every suspension and re-entry below. *)
 let input t ~src ~dst msg =
   Costs.charge t.plat Costs.tcp_demux;
-  match Tcp_wire.decode msg with
-  | None -> Msg.destroy msg
-  | Some hdr ->
-    (* The segment entered TCP from IP: open its demux span. *)
-    span_begin t.plat ~seq:hdr.seq Trace.Ip;
-    let ip_span_done = ref false in
-    let end_ip_span () =
-      if not !ip_span_done then begin
-        ip_span_done := true;
-        span_end t.plat ~seq:hdr.seq Trace.Ip
-      end
-    in
+  if Msg.length msg < Tcp_wire.header_bytes then Msg.destroy msg
+  else begin
+    let sport = Tcp_wire.get_sport msg and dport = Tcp_wire.get_dport msg in
+    let seq = Tcp_wire.get_seq msg and ack = Tcp_wire.get_ack msg in
+    let flags = Tcp_wire.get_flags msg and win = Tcp_wire.get_win msg in
+    let cksum = Tcp_wire.get_cksum msg in
+    let io = io_take t in
+    (* The segment entered TCP from IP: open its demux span.  Every path
+       below closes it exactly once. *)
+    span_begin t.plat ~seq Trace.Ip;
     let cksum_ok =
       match t.cfg.locking with
       | (One | Two | Scr | Rcu) when not t.cfg.cksum_under_lock ->
         (* Checksum outside any connection-state lock. *)
-        (not t.cfg.checksum) || hdr.cksum = 0
+        (not t.cfg.checksum) || cksum = 0
         || Tcp_wire.verify_checksum t.plat ~src ~dst msg
       | One | Two | Six | Scr | Rcu -> true (* verified under locks below *)
     in
     if not cksum_ok then begin
       t.cksum_failures <- t.cksum_failures + 1;
-      end_ip_span ();
+      span_end t.plat ~seq Trace.Ip;
       Msg.destroy msg
     end
     else begin
-      match lookup_session t ~lport:hdr.dport ~raddr:src ~rport:hdr.sport with
+      match lookup_session t io ~lport:dport ~raddr:src ~rport:sport with
       | None ->
-        end_ip_span ();
+        span_end t.plat ~seq Trace.Ip;
         Msg.destroy msg
       | Some sess ->
         ignore (Atomic_ctr.incr sess.sess_ref);
-        let proceed = ref true in
-        with_hdr_rem sess (fun () ->
-            (match t.cfg.locking with
-             | Six
-               when t.cfg.checksum && hdr.cksum <> 0
-                    && not (Tcp_wire.verify_checksum t.plat ~src ~dst msg) ->
-               t.cksum_failures <- t.cksum_failures + 1;
-               proceed := false
-             | One | Two | Six | Scr | Rcu -> ());
-            if !proceed then Tcp_wire.strip msg);
-        (if not !proceed then begin
-           end_ip_span ();
-           Msg.destroy msg
-         end
+        hdr_rem_acquire sess;
+        let proceed = six_cksum_ok t ~src ~dst ~cksum msg in
+        if proceed then Tcp_wire.strip msg;
+        hdr_rem_release sess;
+        span_end t.plat ~seq Trace.Ip;
+        (if not proceed then Msg.destroy msg
          else
-           match (sess.tcb.state, hdr.flags.Tcp_wire.syn) with
+           match (sess.tcb.state, flags.Tcp_wire.syn) with
            | Listen, true -> (
-             end_ip_span ();
              (* find the accept callback for this port *)
              match Conn_map.lookup t.accepting sess.key with
              | Some accept ->
@@ -1507,14 +1584,14 @@ let input t ~src ~dst msg =
                  t.syn_backlog_drops <- t.syn_backlog_drops + 1
                else begin
                  sess.tcb.syn_pending <- sess.tcb.syn_pending + 1;
-                 handshake_syn t sess.key accept hdr ~src
+                 handshake_syn t io sess.key accept ~sport ~seq ~win ~src
                end
              | None -> Msg.destroy msg)
-           | _ ->
-             end_ip_span ();
-             segment_arrives sess hdr msg);
+           | _ -> segment_arrives sess io ~sport ~seq ~ack ~flags ~win ~cksum msg);
         ignore (Atomic_ctr.decr sess.sess_ref)
-    end
+    end;
+    io_give t io
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Timers                                                              *)
@@ -1524,68 +1601,63 @@ let fasttimo t =
   List.iter
     (fun sess ->
       if sess.tcb.delack_pending then begin
+        let io = io_take t in
         input_acquire sess;
-        let acc = if sess.tcb.delack_pending then emit_ack sess [] else [] in
+        if sess.tcb.delack_pending then emit_ack sess io;
         input_release sess;
-        transmit sess acc
+        transmit sess io;
+        io_give t io
       end)
     t.all_sessions
 
 let rexmt_timeout sess =
   let t = sess.proto in
   let tcb = sess.tcb in
+  let io = io_take t in
   output_acquire sess;
-  let acc =
-    if Tcp_seq.gt tcb.snd_max tcb.snd_una && tcb.state <> Closed then begin
-      tcb.rxtshift <- min (tcb.rxtshift + 1) max_rxtshift;
-      let flight = min tcb.snd_wnd tcb.snd_cwnd in
-      tcb.snd_ssthresh <- max (2 * t.cfg.mss) (flight / 2);
-      tcb.snd_cwnd <- t.cfg.mss;
-      tcb.t_rtttime <- 0;
-      tcb.snd_nxt <- tcb.snd_una;
-      set_rexmt_timer tcb;
-      retransmit sess []
-    end
-    else begin
-      tcb.t_rexmt <- 0;
-      []
-    end
-  in
+  if Tcp_seq.gt tcb.snd_max tcb.snd_una && tcb.state <> Closed then begin
+    tcb.rxtshift <- min (tcb.rxtshift + 1) max_rxtshift;
+    let flight = min tcb.snd_wnd tcb.snd_cwnd in
+    tcb.snd_ssthresh <- max (2 * t.cfg.mss) (flight / 2);
+    tcb.snd_cwnd <- t.cfg.mss;
+    tcb.t_rtttime <- 0;
+    tcb.snd_nxt <- tcb.snd_una;
+    set_rexmt_timer tcb;
+    retransmit sess io
+  end
+  else tcb.t_rexmt <- 0;
   output_release sess;
-  transmit sess acc
+  transmit sess io;
+  io_give t io
 
 (* Window probe: force one byte past the closed window (BSD TF_FORCE). *)
 let persist_timeout sess =
   let t = sess.proto in
   let tcb = sess.tcb in
+  let io = io_take t in
   output_acquire sess;
-  let acc =
-    let in_flight = Tcp_seq.diff tcb.snd_nxt tcb.snd_una in
-    let unsent = Sockbuf.cc tcb.sb - in_flight in
-    if unsent > 0 && tcb.snd_wnd = 0 && tcb.state = Established then begin
-      sess.st.persist_probes <- sess.st.persist_probes + 1;
-      Costs.charge t.plat Costs.tcp_output_locked;
-      access sess ~write:true "snd";
-      let payload =
-        with_rexmt_lock sess (fun () ->
-            access sess ~write:false "sb";
-            Sockbuf.peek tcb.sb ~off:in_flight ~len:1)
-      in
-      let seq = tcb.snd_nxt in
-      tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt 1;
-      tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
-      tcb.persist_shift <- min (tcb.persist_shift + 1) max_rxtshift;
-      let ticks = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) in
-      tcb.t_persist <- ticks lsl min tcb.persist_shift 6;
-      emit sess ~flags:Tcp_wire.flag_ack ~seq ~payload:(Some payload) []
-    end
-    else begin
-      tcb.t_persist <- 0;
-      []
-    end
-  in
+  let in_flight = Tcp_seq.diff tcb.snd_nxt tcb.snd_una in
+  let unsent = Sockbuf.cc tcb.sb - in_flight in
+  if unsent > 0 && tcb.snd_wnd = 0 && tcb.state = Established then begin
+    sess.st.persist_probes <- sess.st.persist_probes + 1;
+    Costs.charge t.plat Costs.tcp_output_locked;
+    access sess ~write:true "snd";
+    rexmt_acquire sess;
+    access sess ~write:false "sb";
+    let payload = Sockbuf.peek tcb.sb ~off:in_flight ~len:1 in
+    rexmt_release sess;
+    let seq = tcb.snd_nxt in
+    tcb.snd_nxt <- Tcp_seq.add tcb.snd_nxt 1;
+    tcb.snd_max <- Tcp_seq.max tcb.snd_max tcb.snd_nxt;
+    tcb.persist_shift <- min (tcb.persist_shift + 1) max_rxtshift;
+    let ticks = max 2 ((tcb.rto + slowtimo_ns - 1) / slowtimo_ns) in
+    tcb.t_persist <- ticks lsl min tcb.persist_shift 6;
+    emit sess io ~flags:Tcp_wire.flag_ack ~seq payload
+  end
+  else tcb.t_persist <- 0;
   output_release sess;
-  transmit sess acc
+  transmit sess io;
+  io_give t io
 
 let slowtimo t =
   List.iter
@@ -1661,6 +1733,9 @@ let create plat pool ~wheel ~ip cfg ~name =
       shutdown = false;
       cksum_failures = 0;
       syn_backlog_drops = 0;
+      nil_msg = Msg.create pool 0;
+      spare_io = [||];
+      n_spare_io = 0;
     }
   in
   Ip.register ip ~proto:Tcp_wire.protocol_number (fun ~src ~dst msg ->
@@ -1694,9 +1769,11 @@ let connect ?iss t ~local_port ~remote_addr ~remote_port =
       t.all_sessions <- sess :: t.all_sessions);
   start_timers t;
   Costs.charge t.plat Costs.tcp_conn_setup;
-  let acc = emit sess ~flags:Tcp_wire.flag_syn ~seq:tcb.iss ~payload:None [] in
+  let io = io_take t in
+  emit_empty sess io ~flags:Tcp_wire.flag_syn ~seq:tcb.iss;
   set_rexmt_timer tcb;
-  transmit sess acc;
+  transmit sess io;
+  io_give t io;
   (* The in-memory peer may have answered synchronously on this stack. *)
   if tcb.state <> Established then
     Sim.suspend t.plat.Platform.sim (fun resume -> tcb.open_waiter <- Some resume);
@@ -1742,11 +1819,10 @@ let scr_send_enqueue sess log msg =
     if sync_tracing sess then
       sync_trace sess (Trace.Scr_apply { log = log.sl_name; idx = -1 });
     Sim.defer_begin sim;
-    let r =
-      with_rexmt_lock sess (fun () ->
-          access sess ~write:true "sb";
-          Sockbuf.offer sess.tcb.sb msg)
-    in
+    rexmt_acquire sess;
+    access sess ~write:true "sb";
+    let r = Sockbuf.offer sess.tcb.sb msg in
+    rexmt_release sess;
     let cost = Sim.defer_end sim in
     if sync_tracing sess then
       sync_trace sess (Trace.Scr_apply_end { log = log.sl_name; idx = -1 });
@@ -1764,6 +1840,33 @@ let scr_send_enqueue sess log msg =
       go ()
   in
   go ()
+
+(* Queue, shed, or wait for socket-buffer space (so_snd semantics), under
+   the output section the caller holds. *)
+let rec send_enqueue sess msg =
+  let t = sess.proto in
+  let tcb = sess.tcb in
+  rexmt_acquire sess;
+  access sess ~write:true "sb";
+  let r = Sockbuf.offer tcb.sb msg in
+  rexmt_release sess;
+  match r with
+  | `Queued -> true
+  | `Dropped -> false
+  | `Must_wait ->
+    let registered = ref false in
+    Sim.suspend t.plat.Platform.sim (fun resume ->
+        tcb.sb_waiters <- resume :: tcb.sb_waiters;
+        registered := true;
+        (* The register callback cannot consume simulated time, so
+           RCU releases without its (charging) snapshot publish —
+           sound, because a failed offer mutated nothing. *)
+        match sess.locks with
+        | L_rcu r -> Lock.release r.ru_wr
+        | _ -> output_release sess);
+    assert !registered;
+    output_acquire sess;
+    send_enqueue sess msg
 
 let send sess msg =
   let t = sess.proto in
@@ -1784,31 +1887,7 @@ let send sess msg =
       queued
     | _ ->
       output_acquire sess;
-      (* Queue, shed, or wait for socket-buffer space (so_snd semantics). *)
-      let rec enqueue () =
-        match
-          with_rexmt_lock sess (fun () ->
-              access sess ~write:true "sb";
-              Sockbuf.offer tcb.sb msg)
-        with
-        | `Queued -> true
-        | `Dropped -> false
-        | `Must_wait ->
-          let registered = ref false in
-          Sim.suspend t.plat.Platform.sim (fun resume ->
-              tcb.sb_waiters <- resume :: tcb.sb_waiters;
-              registered := true;
-              (* The register callback cannot consume simulated time, so
-                 RCU releases without its (charging) snapshot publish —
-                 sound, because a failed offer mutated nothing. *)
-              match sess.locks with
-              | L_rcu r -> Lock.release r.ru_wr
-              | _ -> output_release sess);
-          assert !registered;
-          output_acquire sess;
-          enqueue ()
-      in
-      let queued = enqueue () in
+      let queued = send_enqueue sess msg in
       if queued then sess.st.bytes_out <- sess.st.bytes_out + len;
       output_release sess;
       queued
@@ -1823,7 +1902,9 @@ let send sess msg =
        if t.cfg.checksum && not t.cfg.cksum_under_lock then
          Membus.consume t.plat.Platform.bus ~bytes:len
      | Six -> ());
-    pump sess
+    let io = io_take t in
+    pump sess io;
+    io_give t io
   end
 
 let close sess =
@@ -1835,7 +1916,9 @@ let close sess =
    | _ -> ());
   tcb.fin_queued <- true;
   output_release sess;
-  pump sess
+  let io = io_take sess.proto in
+  pump sess io;
+  io_give sess.proto io
 
 let state_name sess = state_to_string sess.tcb.state
 let stats sess = sess.st

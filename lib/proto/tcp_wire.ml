@@ -43,48 +43,43 @@ let flags_table =
 
 let flags_of_int i = flags_table.(i land 31)
 
-let encode msg h =
+(* The header is written and read field by field through the message
+   accessors, which allocate nothing; the [header] record is built only
+   where a caller keeps one ([decode], the SCR log). *)
+let encode msg ~sport ~dport ~seq ~ack ~flags ~win =
   Msg.push msg header_bytes;
-  Msg.set_u16 msg 0 h.sport;
-  Msg.set_u16 msg 2 h.dport;
-  Msg.set_u32 msg 4 (Tcp_seq.mask h.seq);
-  Msg.set_u32 msg 8 (Tcp_seq.mask h.ack);
+  Msg.set_u16 msg 0 sport;
+  Msg.set_u16 msg 2 dport;
+  Msg.set_u32 msg 4 (Tcp_seq.mask seq);
+  Msg.set_u32 msg 8 (Tcp_seq.mask ack);
   (* data offset in 32-bit words (6) in the high nibble, flags low. *)
-  Msg.set_u16 msg 12 ((6 lsl 12) lor flags_to_int h.flags);
-  Msg.set_u32 msg 14 h.win;
-  Msg.set_u16 msg 18 h.cksum;
+  Msg.set_u16 msg 12 ((6 lsl 12) lor flags_to_int flags);
+  Msg.set_u32 msg 14 win;
+  Msg.set_u16 msg 18 0;
   Msg.set_u16 msg 20 0;
   Msg.set_u16 msg 22 0
+
+let get_sport msg = Msg.get_u16 msg 0
+let get_dport msg = Msg.get_u16 msg 2
+let get_seq msg = Msg.get_u32 msg 4
+let get_ack msg = Msg.get_u32 msg 8
+let get_flags msg = flags_of_int (Msg.get_u16 msg 12 land 0x3f)
+let get_win msg = Msg.get_u32 msg 14
+let get_cksum msg = Msg.get_u16 msg 18
 
 let decode msg =
   if Msg.length msg < header_bytes then None
   else
-    match Msg.head_view msg ~len:header_bytes with
-    | Some (_, b, j) ->
-      (* Single-pass read: the header always lives in one node (its own
-         pushed node on send, the remaining front node after the IP pop on
-         receive), so skip the per-field accessor walks. *)
-      Some
-        {
-          sport = Bytes.get_uint16_be b j;
-          dport = Bytes.get_uint16_be b (j + 2);
-          seq = (Bytes.get_uint16_be b (j + 4) lsl 16) lor Bytes.get_uint16_be b (j + 6);
-          ack = (Bytes.get_uint16_be b (j + 8) lsl 16) lor Bytes.get_uint16_be b (j + 10);
-          flags = flags_of_int (Bytes.get_uint16_be b (j + 12) land 0x3f);
-          win = (Bytes.get_uint16_be b (j + 14) lsl 16) lor Bytes.get_uint16_be b (j + 16);
-          cksum = Bytes.get_uint16_be b (j + 18);
-        }
-    | None ->
-      Some
-        {
-          sport = Msg.get_u16 msg 0;
-          dport = Msg.get_u16 msg 2;
-          seq = Msg.get_u32 msg 4;
-          ack = Msg.get_u32 msg 8;
-          flags = flags_of_int (Msg.get_u16 msg 12 land 0x3f);
-          win = Msg.get_u32 msg 14;
-          cksum = Msg.get_u16 msg 18;
-        }
+    Some
+      {
+        sport = get_sport msg;
+        dport = get_dport msg;
+        seq = get_seq msg;
+        ack = get_ack msg;
+        flags = get_flags msg;
+        win = get_win msg;
+        cksum = get_cksum msg;
+      }
 
 let strip msg = Msg.pop msg header_bytes
 
@@ -124,18 +119,17 @@ let store_checksum_incremental ~src ~dst ~payload_sum msg =
    from the fields without touching bytes.  Every 16-bit word of the
    header is a field (the trailing pad is zero), so for a header-only
    segment the whole checksum is arithmetic. *)
-let header_sum h =
+let header_sum ~sport ~dport ~seq ~ack ~flags ~win =
   let open Inet_cksum in
-  let seq = Tcp_seq.mask h.seq and ackn = Tcp_seq.mask h.ack in
-  let s = add h.sport h.dport in
+  let seq = Tcp_seq.mask seq and ackn = Tcp_seq.mask ack in
+  let s = add sport dport in
   let s = add s (seq lsr 16) in
   let s = add s (seq land 0xffff) in
   let s = add s (ackn lsr 16) in
   let s = add s (ackn land 0xffff) in
-  let s = add s ((6 lsl 12) lor flags_to_int h.flags) in
-  let s = add s ((h.win lsr 16) land 0xffff) in
-  let s = add s (h.win land 0xffff) in
-  add s h.cksum
+  let s = add s ((6 lsl 12) lor flags_to_int flags) in
+  let s = add s ((win lsr 16) land 0xffff) in
+  add s (win land 0xffff)
 
 (* Coalesced construction of a header-only segment (pure ACK, SYN, FIN):
    one direct pass writes the header with the checksum already computed
@@ -146,45 +140,33 @@ let header_sum h =
    field is written as the zero those paths leave.  Charges nothing:
    callers place the simulated checksum charge ({!Inet_cksum.charge})
    exactly where their reference path incurred it. *)
-let encode_empty msg h ~src ~dst ~checksum =
+let encode_empty msg ~sport ~dport ~seq ~ack ~flags ~win ~src ~dst ~checksum =
   Msg.push msg header_bytes;
-  let base = header_sum { h with cksum = 0 } in
+  let base = header_sum ~sport ~dport ~seq ~ack ~flags ~win in
   let ck =
     if not checksum then 0
     else
       let c = Inet_cksum.finish (Inet_cksum.add base (pseudo_sum ~src ~dst ~len:header_bytes)) in
       if c = 0 then 0xffff else c
   in
-  match Msg.head_view msg ~len:header_bytes with
-  | Some (node, b, j) ->
-    Mpool.bump_gen (Msg.pool msg) node;
-    Bytes.set_uint16_be b j h.sport;
-    Bytes.set_uint16_be b (j + 2) h.dport;
-    let seq = Tcp_seq.mask h.seq and ackn = Tcp_seq.mask h.ack in
-    Bytes.set_uint16_be b (j + 4) (seq lsr 16);
-    Bytes.set_uint16_be b (j + 6) (seq land 0xffff);
-    Bytes.set_uint16_be b (j + 8) (ackn lsr 16);
-    Bytes.set_uint16_be b (j + 10) (ackn land 0xffff);
-    Bytes.set_uint16_be b (j + 12) ((6 lsl 12) lor flags_to_int h.flags);
-    Bytes.set_uint16_be b (j + 14) ((h.win lsr 16) land 0xffff);
-    Bytes.set_uint16_be b (j + 16) (h.win land 0xffff);
-    Bytes.set_uint16_be b (j + 18) ck;
-    Bytes.set_uint16_be b (j + 20) 0;
-    Bytes.set_uint16_be b (j + 22) 0;
-    Mpool.cache_sum node ~off:j ~len:header_bytes (Inet_cksum.add base ck)
-  | None ->
-    (* A fresh push is always a single covering part; kept for safety
-       (the header space is already pushed, so write through the
-       accessors as [encode] would). *)
-    Msg.set_u16 msg 0 h.sport;
-    Msg.set_u16 msg 2 h.dport;
-    Msg.set_u32 msg 4 (Tcp_seq.mask h.seq);
-    Msg.set_u32 msg 8 (Tcp_seq.mask h.ack);
-    Msg.set_u16 msg 12 ((6 lsl 12) lor flags_to_int h.flags);
-    Msg.set_u32 msg 14 h.win;
-    Msg.set_u16 msg 18 ck;
-    Msg.set_u16 msg 20 0;
-    Msg.set_u16 msg 22 0
+  (* A fresh push is always a single part covering the header. *)
+  let node = Msg.head_node msg and j = Msg.head_off msg in
+  let b = Mpool.data node in
+  Mpool.bump_gen (Msg.pool msg) node;
+  Bytes.set_uint16_be b j sport;
+  Bytes.set_uint16_be b (j + 2) dport;
+  let seq = Tcp_seq.mask seq and ackn = Tcp_seq.mask ack in
+  Bytes.set_uint16_be b (j + 4) (seq lsr 16);
+  Bytes.set_uint16_be b (j + 6) (seq land 0xffff);
+  Bytes.set_uint16_be b (j + 8) (ackn lsr 16);
+  Bytes.set_uint16_be b (j + 10) (ackn land 0xffff);
+  Bytes.set_uint16_be b (j + 12) ((6 lsl 12) lor flags_to_int flags);
+  Bytes.set_uint16_be b (j + 14) ((win lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (j + 16) (win land 0xffff);
+  Bytes.set_uint16_be b (j + 18) ck;
+  Bytes.set_uint16_be b (j + 20) 0;
+  Bytes.set_uint16_be b (j + 22) 0;
+  Mpool.cache_sum node ~off:j ~len:header_bytes (Inet_cksum.add base ck)
 
 let verify_checksum plat ~src ~dst msg =
   let len = Msg.length msg in

@@ -17,6 +17,10 @@
 
 type flags = { fin : bool; syn : bool; rst : bool; psh : bool; ack : bool }
 
+val flags_of_int : int -> flags
+(** The flags of the low five bits of a header's flags word: one of 32
+    prebuilt records, so decoding them allocates nothing. *)
+
 val no_flags : flags
 val flag_ack : flags
 val flag_syn : flags
@@ -37,13 +41,30 @@ type header = {
 val header_bytes : int
 val protocol_number : int
 
-val encode : Pnp_xkern.Msg.t -> header -> unit
-(** Push a header onto the message and write the fields (checksum field as
-    given; use {!store_checksum} to fill it afterwards). *)
+val encode :
+  Pnp_xkern.Msg.t -> sport:int -> dport:int -> seq:int -> ack:int -> flags:flags -> win:int -> unit
+(** Push a header onto the message and write the fields, with a zero
+    checksum field ({!store_checksum} fills it afterwards).  Allocates
+    nothing beyond the pushed header node. *)
+
+(** {2 Field readers}
+
+    Each reads one field of the header at the front of a message of at
+    least {!header_bytes} bytes, without stripping it and without
+    allocating (the flags come from a table of the 32 possible records).
+    The receive path reads the fields it needs into locals. *)
+
+val get_sport : Pnp_xkern.Msg.t -> int
+val get_dport : Pnp_xkern.Msg.t -> int
+val get_seq : Pnp_xkern.Msg.t -> int
+val get_ack : Pnp_xkern.Msg.t -> int
+val get_flags : Pnp_xkern.Msg.t -> flags
+val get_win : Pnp_xkern.Msg.t -> int
+val get_cksum : Pnp_xkern.Msg.t -> int
 
 val decode : Pnp_xkern.Msg.t -> header option
-(** Read the header at the front of the message (without stripping);
-    [None] if the message is too short. *)
+(** The whole header at the front of the message as a record (without
+    stripping); [None] if the message is too short. *)
 
 val strip : Pnp_xkern.Msg.t -> unit
 (** Remove the header bytes from the front. *)
@@ -66,7 +87,17 @@ val store_checksum_incremental :
     re-summed, at no simulated cost. *)
 
 val encode_empty :
-  Pnp_xkern.Msg.t -> header -> src:int -> dst:int -> checksum:bool -> unit
+  Pnp_xkern.Msg.t ->
+  sport:int ->
+  dport:int ->
+  seq:int ->
+  ack:int ->
+  flags:flags ->
+  win:int ->
+  src:int ->
+  dst:int ->
+  checksum:bool ->
+  unit
 (** Coalesced construction of a header-only segment (pure ACK, SYN,
     FIN): pushes and writes the header in one direct pass with the
     checksum computed arithmetically from the fields — every 16-bit word

@@ -43,18 +43,22 @@ let int t bound =
      above it are biased and rejected. *)
   draw_below t bound (max62 - r)
 
-let float t bound =
-  let f = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  (* 53 significant bits, scaled to [0,1). *)
-  f *. (1.0 /. 9007199254740992.0) *. bound
+(* 53 significant bits, scaled to [0,1).  Inlined into its callers, so
+   [exponential] keeps the draw unboxed. *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. (1.0 /. 9007199254740992.0)
+
+let float t bound = unit_float t *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
+(* Truncated to whole nanoseconds here rather than by every caller, so
+   the draw reaches its callers as an int and never boxes. *)
 let exponential t ~mean =
-  let u = float t 1.0 in
+  let u = unit_float t in
   (* Guard against log 0. *)
   let u = if u <= 0.0 then 1e-12 else u in
-  -.mean *. log u
+  int_of_float (-.mean *. log u)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -29,9 +29,10 @@ val float : t -> float -> float
 
 val bool : t -> bool
 
-val exponential : t -> mean:float -> float
-(** Exponentially distributed draw with the given mean; used for service
-    jitter in the simulated stack. *)
+val exponential : t -> mean:float -> int
+(** Exponentially distributed draw with the given mean, truncated toward
+    zero to whole nanoseconds; used for service jitter in the simulated
+    stack.  The truncated mean is about [mean -. 0.5]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

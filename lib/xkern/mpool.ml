@@ -79,7 +79,18 @@ type t = {
   mutable refusals : int; (* try_alloc calls denied at hard capacity *)
   mutable headroom_waiters : (Pnp_util.Units.ns -> unit) list; (* LIFO; woken in reverse *)
   mutable pressure_hook : (bool -> unit) option;
+  (* Host-side storage behind [Msg]: spare part vectors, and the inert
+     node that fills their unused node slots.  The filler is never
+     allocated, referenced or freed. *)
+  filler : mnode;
+  mutable spare_parts : parts array;
+  mutable n_spare_parts : int;
 }
+
+(* A message's parts as parallel node / offset / length arrays (see
+   msg.ml).  Vectors of the standard capacity are recycled through the
+   pool, so building a message allocates only its handle. *)
+and parts = { p_nodes : mnode array; p_offs : int array; p_lens : int array }
 
 (* Instruction budgets: a cache hit is a couple of pointer operations; the
    global path runs the allocator under its lock and touches cold memory. *)
@@ -135,7 +146,60 @@ let create ?(capacity = max_int) ?soft_watermark plat =
     arena_free_n = Array.make 2 0;
     arena_out = 0;
     arena_hwm = 0;
+    filler =
+      {
+        id = -1;
+        data = Bytes.empty;
+        size_class = 2;
+        from_arena = false;
+        (* An LL/SC counter builds no lock, so the filler leaves the
+           world's lock population untouched. *)
+        refs =
+          Atomic_ctr.create plat.Platform.sim plat.Platform.arch Atomic_ctr.Ll_sc
+            ~name:"mnode.filler" ~init:0;
+        gen = 0;
+        sum_gen = -1;
+        sum_off = 0;
+        sum_len = 0;
+        sum_val = 0;
+      };
+    spare_parts = [||];
+    n_spare_parts = 0;
   }
+
+(* ---- Part vectors for Msg ---- *)
+
+let parts_capacity = 8
+let no_parts = { p_nodes = [||]; p_offs = [||]; p_lens = [||] }
+
+let take_parts t =
+  if t.n_spare_parts > 0 then begin
+    t.n_spare_parts <- t.n_spare_parts - 1;
+    t.spare_parts.(t.n_spare_parts)
+  end
+  else
+    {
+      p_nodes = Array.make parts_capacity t.filler;
+      p_offs = Array.make parts_capacity 0;
+      p_lens = Array.make parts_capacity 0;
+    }
+
+(* The slots [first, first + count) are reset to the filler, so a spare
+   vector keeps no buffer of a message's last parts alive.  Vectors a
+   message grew past the standard capacity go back to the GC. *)
+let give_parts t p ~first ~count =
+  if Array.length p.p_nodes = parts_capacity then begin
+    for i = first to first + count - 1 do
+      p.p_nodes.(i) <- t.filler
+    done;
+    if t.n_spare_parts = Array.length t.spare_parts then begin
+      let grown = Array.make (max 16 (2 * t.n_spare_parts)) no_parts in
+      Array.blit t.spare_parts 0 grown 0 t.n_spare_parts;
+      t.spare_parts <- grown
+    end;
+    t.spare_parts.(t.n_spare_parts) <- p;
+    t.n_spare_parts <- t.n_spare_parts + 1
+  end
 
 (* Extend the tid-indexed table to cover [tid], creating a cache per new
    slot.  The only non-O(1) step in the cache path, and it runs once per

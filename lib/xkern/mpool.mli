@@ -92,6 +92,32 @@ val decref : t -> mnode -> unit
 (** Drop a reference; at zero the node returns to the caller's LIFO cache
     (if caching is on and the cache has room) or to the global allocator. *)
 
+(** {2 Part vectors}
+
+    The storage behind a {!Msg}: its parts (node, offset into the node,
+    length) in three parallel arrays.  Vectors of [parts_capacity] slots
+    are recycled through the pool, so building a message allocates only
+    its handle, and pushing a header onto a message with a free slot
+    allocates nothing.  Host-side storage only: taking and giving back a
+    vector charges no simulated time.  Unused node slots hold an inert
+    filler node that is never allocated or freed. *)
+
+type parts = { p_nodes : mnode array; p_offs : int array; p_lens : int array }
+
+val parts_capacity : int
+
+val no_parts : parts
+(** The zero-capacity vector of an empty message. *)
+
+val take_parts : t -> parts
+(** A vector of [parts_capacity] slots: a spare one when the pool has
+    one, a fresh one otherwise. *)
+
+val give_parts : t -> parts -> first:int -> count:int -> unit
+(** Return a vector the caller no longer references.  Its node slots
+    [first, first + count) (the message's last parts) are reset to the
+    filler; vectors of another capacity are dropped. *)
+
 val data : mnode -> Bytes.t
 val capacity : mnode -> int
 val refs : mnode -> int

@@ -1,7 +1,10 @@
 (** The x-kernel message tool.
 
     A message is an ordered sequence of views onto reference-counted
-    MNodes.  Messages are per-thread objects (the paper: "Messages are
+    MNodes, kept in a part vector recycled through the pool
+    ({!Mpool.parts}): creating or duplicating a message allocates only
+    its handle, and [push], [pop], [truncate], [append] and
+    [append_view] allocate nothing while the vector has a free slot.  Messages are per-thread objects (the paper: "Messages are
     per-thread data structures, and thus required no locks"); only the
     MNode reference counts underneath are shared.
 
@@ -21,7 +24,7 @@ val length : t -> int
 
 val pool : t -> Mpool.t
 (** The pool the message allocates from — for callers that write through
-    {!head_view} and must call {!Mpool.bump_gen} on the exposed node. *)
+    {!head_node} and must call {!Mpool.bump_gen} on it. *)
 
 val push : t -> int -> unit
 (** [push t n] prepends [n] bytes of header space; bytes 0..n-1 of the
@@ -49,6 +52,14 @@ val unshare : t -> off:int -> unit
 val append : t -> t -> unit
 (** [append t u] moves [u]'s contents to the tail of [t]; [u] becomes
     empty (its node references transfer, so no copying happens). *)
+
+val append_view : t -> t -> off:int -> len:int -> unit
+(** [append_view t src ~off ~len] appends a shared view of [src]'s bytes
+    [off, off + len) to the tail of [t]; [src] is unchanged.  The node
+    reference counts move exactly as they would for [dup src] followed
+    by [pop off] and [truncate len] on the copy and an [append] of it,
+    but no intermediate message is built.
+    @raise Invalid_argument if the range is outside [src]. *)
 
 val destroy : t -> unit
 (** Drop all node references.  The message must not be used afterwards. *)
@@ -80,14 +91,18 @@ val fill_pattern : t -> off:int -> len:int -> stream_off:int -> unit
 val check_pattern : t -> off:int -> len:int -> stream_off:int -> bool
 (** Verify the pattern written by {!fill_pattern}. *)
 
-val head_view : t -> len:int -> (Mpool.mnode * Bytes.t * int) option
-(** [head_view t ~len] exposes the first part's node, buffer, and the
-    absolute byte offset of message offset 0 within it, when that part
-    covers at least [len] bytes — the single-pass header fast path for
-    protocol encode/decode.  Readers may use the view freely; a writer
-    must call {!Mpool.bump_gen} on the node before storing and may
-    refresh the sum memo ({!Mpool.cache_sum}) only with a sum of the
-    final byte values. *)
+val head_node : t -> Mpool.mnode
+(** The first part's node.  Within the first part's length, message
+    offset [i] is byte [head_off t + i] of [Mpool.data (head_node t)] —
+    the single-pass fast path for a header just pushed (a push is always
+    one part).  Readers may use the bytes freely; a writer must call
+    {!Mpool.bump_gen} on the node before storing and may refresh the sum
+    memo ({!Mpool.cache_sum}) only with a sum of the final byte values.
+    @raise Invalid_argument on an empty message. *)
+
+val head_off : t -> int
+(** The absolute offset of message offset 0 within {!head_node}'s bytes.
+    @raise Invalid_argument on an empty message. *)
 
 val iter_slices : t -> (Bytes.t -> int -> int -> unit) -> unit
 (** Apply the function to each underlying (buffer, offset, length) slice in

@@ -2,25 +2,30 @@
 
    Each test drives one layer's per-packet operation in a loop and
    measures the minor-heap words it allocates.  The budgets are the
-   words the operation cannot avoid: zero for byte access, pops, buffer
-   cache round trips, checksums, uncontended locking and random draws;
-   the [Some] of a demux hit; the continuation the runtime captures when
-   a contended lock parks a thread.  Each test warms its path first, so
-   one-time growth (a cache stack, a waiter array) stays out of the
-   count. *)
+   words the operation cannot avoid: zero for byte access, pops, header
+   pushes into a free part slot, buffer cache round trips, checksums,
+   header encode and field reads, uncontended locking and random draws;
+   the handle of a new message (6 words); the [Some] of a demux hit; the
+   continuation the runtime captures when a contended lock parks a
+   thread.  Each test warms its path first, so one-time growth (a cache
+   stack, a waiter array, a spare part vector) stays out of the count.
+   The last tests run whole TCP cells and pin words per delivered
+   packet. *)
 
 open Pnp_util
 open Pnp_engine
 open Pnp_xkern
 open Pnp_proto
+open Pnp_driver
 
 let plat () = Platform.create Arch.challenge_100
 
-(* Run [body] inside a simulated thread and drive the world to completion. *)
-let in_sim plat body =
+(* Run [body] inside a simulated thread and drive the world to completion
+   (or to [horizon]: a TCP stack's timers re-arm forever). *)
+let in_sim ?horizon plat body =
   let result = ref None in
   let _ = Sim.spawn plat.Platform.sim ~name:"test" (fun () -> result := Some (body ())) in
-  Sim.run plat.Platform.sim;
+  Sim.run ?until:horizon plat.Platform.sim;
   match !result with Some r -> r | None -> Alcotest.fail "simulated thread did not finish"
 
 (* Mean minor words per call of [f i], counted around [f] alone: [prep i]
@@ -84,6 +89,168 @@ let test_msg_pop_across_parts () =
       zero "pop across a part boundary" words;
       Alcotest.(check int) "payload left" (4000 - (2 * (n + 1))) (Msg.length m);
       Msg.destroy m)
+
+(* A header pushed into a free slot of the part vector allocates nothing
+   (the node comes from the thread's cache); a duplicate builds only its
+   6-word handle, and the three header pushes of a driver-built frame
+   and its destruction add nothing. *)
+let test_msg_push_spare () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let m = Msg.create pool 1000 in
+      let frame _ =
+        let d = Msg.dup m in
+        Msg.push d 24;
+        Msg.push d 20;
+        Msg.push d 21;
+        Msg.destroy d
+      in
+      (* Fills the thread's header-node cache and the pool's spare vector. *)
+      frame 0;
+      zero "push + pop"
+        (words_per_op (fun _ ->
+             Msg.push m 24;
+             Msg.pop m 24));
+      budget "dup + three pushes + destroy" 6.0 (words_per_op frame);
+      Msg.destroy m)
+
+(* The TCP header is written and read field by field: encode into a
+   free slot and the field readers allocate nothing; [decode] builds its
+   [Some] and 7-field record (10 words). *)
+let test_tcp_wire_codec () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let m = Msg.create pool 1000 in
+      let acc = ref 0 in
+      let encode i =
+        Tcp_wire.encode m ~sport:80 ~dport:i ~seq:i ~ack:(2 * i) ~flags:Tcp_wire.flag_ack
+          ~win:65536
+      in
+      encode 0;
+      Tcp_wire.strip m;
+      zero "encode + field reads + strip"
+        (words_per_op (fun i ->
+             encode i;
+             acc :=
+               !acc + Tcp_wire.get_sport m + Tcp_wire.get_dport m + Tcp_wire.get_seq m
+               + Tcp_wire.get_ack m + Tcp_wire.get_win m + Tcp_wire.get_cksum m;
+             if (Tcp_wire.get_flags m).Tcp_wire.ack then incr acc;
+             Tcp_wire.strip m));
+      encode 1;
+      budget "decode" 10.0 (words_per_op (fun _ -> ignore (Tcp_wire.decode m)));
+      ignore (Sys.opaque_identity !acc);
+      Msg.destroy m)
+
+(* A driver checks and reads a TCP frame in place. *)
+let test_frame_parse_tcp () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  in_sim p (fun () ->
+      let payload = Msg.create pool 512 in
+      let f =
+        Frame.build_tcp pool ~src:0x0a000001 ~dst:0x0a000002 ~sport:2000 ~dport:80 ~seq:7
+          ~ack:9 ~flags:Tcp_wire.flag_ack ~win:4096 ~payload:(Some payload) ~checksum:true
+      in
+      let acc = ref 0 in
+      zero "is_tcp + field reads"
+        (words_per_op (fun _ ->
+             if Frame.is_tcp f then
+               acc :=
+                 !acc + Frame.tcp_dst f + Frame.tcp_sport f + Frame.tcp_dport f
+                 + Frame.tcp_seq f + Frame.tcp_ack f + Frame.tcp_win f
+                 + Frame.tcp_payload_len f;
+             if (Frame.tcp_flags f).Tcp_wire.ack then incr acc));
+      Alcotest.(check int) "payload length" 512 (Frame.tcp_payload_len f);
+      ignore (Sys.opaque_identity !acc);
+      Msg.destroy f)
+
+(* TCP sections, driven through the real input path: a receive stack
+   with one connection handshaken by [Tcp_source], then frames built
+   outside the measured window and injected with [Fddi.input].  Every
+   segment pays the [Some] of three demux hits, FDDI, IP and TCP (6
+   words); the stack's own segments go to a sink that destroys them.
+   The budgets leave one word for the stack's fast timer, which fires
+   inside some of the windows. *)
+let peer_seq0 = Tcp_seq.add (Tcp_seq.mask (0x10000000 + 2000)) 1
+
+let with_tcp_conn body =
+  let p = plat () in
+  let stack = Stack.create p ~local_addr:0x0a000002 () in
+  let src =
+    Tcp_source.attach stack ~peer_addr:0x0a000001 ~payload:1024 ~checksum:true
+      ~ports:[ (2000, 4000) ] ()
+  in
+  let the_sess = ref None in
+  in_sim ~horizon:(Units.sec 30.0) p (fun () ->
+      Tcp.listen stack.Stack.tcp ~local_port:4000 ~accept:(fun sess ->
+          the_sess := Some sess;
+          Tcp.set_receiver sess Msg.destroy);
+      Tcp_source.start src;
+      Fddi.set_transmit stack.Stack.fddi Msg.destroy;
+      let sess = Option.get !the_sess in
+      let frame ~seq ~ack ~win ~len =
+        let payload = if len = 0 then None else Some (Msg.create stack.Stack.pool len) in
+        Frame.build_tcp stack.Stack.pool ~src:0x0a000001 ~dst:0x0a000002 ~sport:2000
+          ~dport:4000 ~seq ~ack ~flags:Tcp_wire.flag_ack ~win ~payload ~checksum:true
+      in
+      body stack sess frame)
+
+(* In-order data on the header-prediction fast path: the demux, plus
+   every other segment's delayed ACK handle (6 words / 2). *)
+let test_tcp_prediction_hit () =
+  with_tcp_conn (fun stack sess frame ->
+      let seq = ref peer_seq0 and next = ref (Msg.create stack.Stack.pool 0) in
+      let prep _ =
+        next := frame ~seq:!seq ~ack:(Tcp.snd_nxt sess) ~win:(1 lsl 20) ~len:1024;
+        seq := Tcp_seq.add !seq 1024
+      in
+      let hits = (Tcp.stats sess).Tcp.pred_hits in
+      let n = 2_000 in
+      let words = words_per_op ~n ~prep (fun _ -> Fddi.input stack.Stack.fddi !next) in
+      Alcotest.(check int) "every segment predicted" n ((Tcp.stats sess).Tcp.pred_hits - hits);
+      budget "prediction hit" 10.0 words)
+
+(* A pure ACK advancing snd_una: the demux only.  The window the ACKs
+   advertise lets the congestion window cover it after the first, so
+   they take header prediction's pure-ACK path into [process_ack]. *)
+let test_tcp_pure_ack () =
+  with_tcp_conn (fun stack sess frame ->
+      let next = ref (Msg.create stack.Stack.pool 0) in
+      let prep _ =
+        Tcp.send sess (Msg.create stack.Stack.pool 100);
+        next := frame ~seq:peer_seq0 ~ack:(Tcp.snd_nxt sess) ~win:4096 ~len:0
+      in
+      prep 0;
+      Fddi.input stack.Stack.fddi !next;
+      let hits = (Tcp.stats sess).Tcp.pred_hits in
+      let n = 2_000 in
+      let words = words_per_op ~n ~prep (fun _ -> Fddi.input stack.Stack.fddi !next) in
+      Alcotest.(check int) "every ACK predicted" n ((Tcp.stats sess).Tcp.pred_hits - hits);
+      budget "pure ACK" 7.0 words)
+
+(* An out-of-order segment joins the empty reassembly queue (a 3-word
+   pair and a 3-word cons) and is acked at once (a 6-word handle), on top
+   of the demux; the gap is filled outside the window. *)
+let test_tcp_reass_insert () =
+  with_tcp_conn (fun stack sess frame ->
+      let seq = ref peer_seq0 and next = ref (Msg.create stack.Stack.pool 0) in
+      let prep i =
+        if i > 0 then begin
+          Fddi.input stack.Stack.fddi
+            (frame ~seq:!seq ~ack:(Tcp.snd_nxt sess) ~win:(1 lsl 20) ~len:512);
+          seq := Tcp_seq.add !seq 1024
+        end;
+        next :=
+          frame ~seq:(Tcp_seq.add !seq 512) ~ack:(Tcp.snd_nxt sess) ~win:(1 lsl 20) ~len:512
+      in
+      let inserts = (Tcp.stats sess).Tcp.reass_inserts in
+      let n = 2_000 in
+      let words = words_per_op ~n ~prep (fun _ -> Fddi.input stack.Stack.fddi !next) in
+      Alcotest.(check int) "every segment queued" n
+        ((Tcp.stats sess).Tcp.reass_inserts - inserts);
+      budget "reassembly insert" 19.0 words)
 
 let test_mpool_cache_round_trip () =
   let p = plat () in
@@ -212,6 +379,43 @@ let test_prng_draws () =
   zero "bool" (words_per_op (fun _ -> if Prng.bool g then incr acc));
   ignore (Sys.opaque_identity !acc)
 
+(* [exponential] hands its caller whole nanoseconds: no boxed float. *)
+let test_prng_exponential () =
+  let g = Prng.create 11 in
+  let acc = ref 0 in
+  zero "exponential" (words_per_op (fun _ -> acc := !acc + Prng.exponential g ~mean:1000.0));
+  ignore (Sys.opaque_identity !acc)
+
+(* Words per delivered packet of a whole 1-CPU TCP cell, from the
+   difference between a 300 ms and a 100 ms measurement window, which
+   cancels setup and warmup (the DESIGN.md §11 method). *)
+let cell_words_per_packet side =
+  let open Pnp_harness in
+  let cell ms =
+    Config.v ~procs:1 ~side ~protocol:Config.Tcp ~seed:1 ~measure:(Units.ms ms) ()
+  in
+  let measure ms =
+    let w0 = Gc.minor_words () in
+    let r = Run.run (cell ms) in
+    (Gc.minor_words () -. w0, r.Run.packets)
+  in
+  Run.set_cell_memo false;
+  Fun.protect
+    ~finally:(fun () -> Run.set_cell_memo true)
+    (fun () ->
+      let w1, p1 = measure 100.0 in
+      let w3, p3 = measure 300.0 in
+      if p3 <= p1 then Alcotest.failf "no packets in the extra window";
+      (w3 -. w1) /. float_of_int (p3 - p1))
+
+let test_cell_tcp_recv () =
+  budget "1-CPU TCP receive, words per packet" 40.0
+    (cell_words_per_packet Pnp_harness.Config.Recv)
+
+let test_cell_tcp_send () =
+  budget "1-CPU TCP send, words per packet" 60.0
+    (cell_words_per_packet Pnp_harness.Config.Send)
+
 let suites =
   [
     ( "alloc.budget",
@@ -224,5 +428,14 @@ let suites =
         Alcotest.test_case "contended lock hand-off" `Quick test_lock_contended_handoff;
         Alcotest.test_case "xmap lookup hit" `Quick test_xmap_lookup_hit;
         Alcotest.test_case "prng draws" `Quick test_prng_draws;
+        Alcotest.test_case "prng exponential" `Quick test_prng_exponential;
+        Alcotest.test_case "msg push into a free slot" `Quick test_msg_push_spare;
+        Alcotest.test_case "tcp_wire encode/decode" `Quick test_tcp_wire_codec;
+        Alcotest.test_case "frame parse_tcp" `Quick test_frame_parse_tcp;
+        Alcotest.test_case "tcp header-prediction hit" `Quick test_tcp_prediction_hit;
+        Alcotest.test_case "tcp pure ACK" `Quick test_tcp_pure_ack;
+        Alcotest.test_case "tcp reassembly insert" `Quick test_tcp_reass_insert;
+        Alcotest.test_case "1-CPU TCP receive cell" `Quick test_cell_tcp_recv;
+        Alcotest.test_case "1-CPU TCP send cell" `Quick test_cell_tcp_send;
       ] );
   ]

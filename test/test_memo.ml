@@ -103,10 +103,59 @@ let test_memo_hit_equals_fresh_run () =
       Alcotest.(check bool) "hit equals miss" true (hit = miss);
       Alcotest.(check int) "one cell cached" 1 (Run.cell_memo_size ()))
 
+(* The committed per-cell fingerprint of the reduced sweep
+   ([repro all --max-procs 2 --seeds 1 --warmup-ms 50 --measure-ms 100
+   --cells test/golden/cells.txt]): CI diffs the whole file; here a
+   subset of its figures re-runs, and every cell they produce must
+   match its committed line exactly (configuration, engine events and
+   result digest). *)
+let golden_cells () =
+  In_channel.with_open_text "golden/cells.txt" In_channel.input_lines
+
+let test_golden_cell_fingerprints () =
+  let golden = Hashtbl.create 256 in
+  List.iter (fun l -> Hashtbl.replace golden l ()) (golden_cells ());
+  let opts =
+    {
+      Pnp_figures.Opts.max_procs = 2;
+      seeds = 1;
+      warmup = Pnp_util.Units.ms 50.0;
+      measure = Pnp_util.Units.ms 100.0;
+    }
+  in
+  with_memo true (fun () ->
+      List.iter
+        (fun data -> ignore (data opts))
+        Pnp_figures.
+          [
+            Fig_baseline.fig6_7_data;
+            Fig_baseline.fig8_9_data;
+            Fig_ordering.fig10_data;
+            Fig_ordering.fig11_data;
+            Fig_multiconn.fig12_data;
+            Fig_locking.fig13_data;
+            Fig_locking.fig14_data;
+            Fig_atomics.fig15_data;
+            Fig_caching.fig16_data;
+            Fig_archcmp.fig17_18_data;
+            Fig_extensions.cksum_placement_data;
+            Fig_faults.faults_data;
+            Fig_scr.scr_data;
+          ];
+      let lines = Run.cell_fingerprints () in
+      Printf.printf "%d cells checked\n" (List.length lines);
+      Alcotest.(check bool) "cells ran" true (List.length lines >= 16);
+      List.iter
+        (fun l ->
+          if not (Hashtbl.mem golden l) then
+            Alcotest.failf "cell fingerprint not in golden/cells.txt:\n%s" l)
+        lines)
+
 let suites =
   [
     ( "harness.memo",
       [
+        Alcotest.test_case "golden cell fingerprints" `Quick test_golden_cell_fingerprints;
         Alcotest.test_case "canonical key distinguishes fields" `Quick
           test_canonical_distinguishes;
         Alcotest.test_case "hit equals fresh run" `Quick test_memo_hit_equals_fresh_run;

@@ -110,9 +110,8 @@ let prop_cksum_verifies =
       let pool = Mpool.create p in
       in_sim p (fun () ->
           let m = Msg.of_string pool payload in
-          Tcp_wire.encode m
-            { Tcp_wire.sport = 1; dport = 2; seq = 3; ack = 4;
-              flags = Tcp_wire.flag_ack; win = 5; cksum = 0 };
+          Tcp_wire.encode m ~sport:1 ~dport:2 ~seq:3 ~ack:4 ~flags:Tcp_wire.flag_ack
+            ~win:5;
           Tcp_wire.store_checksum_free ~src:0x0a000001 ~dst:0x0a000002 m;
           let ok = Tcp_wire.verify_checksum p ~src:0x0a000001 ~dst:0x0a000002 m in
           (* flip one payload byte *)
@@ -129,14 +128,14 @@ let test_cksum_incremental_matches_full () =
       let payload = Msg.of_string pool "incremental checksum payload, odd!" in
       let payload_sum = Inet_cksum.sum_slices payload in
       let a = Msg.dup payload in
-      let hdr =
-        { Tcp_wire.sport = 9; dport = 10; seq = 11; ack = 12;
-          flags = Tcp_wire.flag_ack; win = 13; cksum = 0 }
+      let encode m =
+        Tcp_wire.encode m ~sport:9 ~dport:10 ~seq:11 ~ack:12 ~flags:Tcp_wire.flag_ack
+          ~win:13
       in
-      Tcp_wire.encode a hdr;
+      encode a;
       Tcp_wire.store_checksum_free ~src:1 ~dst:2 a;
       let b = Msg.dup payload in
-      Tcp_wire.encode b hdr;
+      encode b;
       Tcp_wire.store_checksum_incremental ~src:1 ~dst:2 ~payload_sum b;
       Alcotest.(check int) "same checksum" (Msg.get_u16 a 18) (Msg.get_u16 b 18);
       Msg.destroy a;
@@ -217,6 +216,82 @@ let prop_sockbuf_stream =
           Msg.destroy v2;
           got = whole && got2 = String.sub whole d rest_len))
 
+(* The FIFO against a list-of-strings model: a random mix of offers
+   (with a small bound, so both policies overflow), peeks of random
+   ranges and drops of random prefixes, past several ring doublings.
+   After every step the buffered count, the drop counters and the
+   peeked bytes must equal the model's. *)
+type sb_op = Offer of string | Peek of int * int | Drop_front of int
+
+let gen_sb_ops =
+  QCheck.Gen.(
+    list_size (1 -- 120)
+      (frequency
+         [
+           (4, map (fun s -> Offer s) (string_size ~gen:printable (0 -- 30)));
+           (2, map2 (fun a b -> Peek (a, b)) (0 -- 200) (0 -- 200));
+           (2, map (fun n -> Drop_front n) (0 -- 200));
+         ]))
+
+let print_sb_op = function
+  | Offer s -> Printf.sprintf "offer %S" s
+  | Peek (a, b) -> Printf.sprintf "peek %d %d" a b
+  | Drop_front n -> Printf.sprintf "drop %d" n
+
+let prop_sockbuf_model =
+  QCheck.Test.make ~name:"sockbuf offer/peek/drop match a list model" ~count:200
+    (QCheck.make ~print:QCheck.Print.(pair bool (list print_sb_op))
+       QCheck.Gen.(pair bool gen_sb_ops))
+    (fun (shed, ops) ->
+      let p = plat () in
+      let pool = Mpool.create p in
+      in_sim p (fun () ->
+          let policy = if shed then Sockbuf.Drop else Sockbuf.Block in
+          let max = 150 in
+          let sb = Sockbuf.create ~policy pool ~max in
+          let model = ref [] and drops = ref 0 and dropped = ref 0 in
+          let contents () = String.concat "" !model in
+          let ok = ref true in
+          let check b = if not b then ok := false in
+          List.iter
+            (fun op ->
+              let cc = String.length (contents ()) in
+              (match op with
+               | Offer s ->
+                 let m = Msg.of_string pool s in
+                 let fits = cc + String.length s <= max in
+                 (match Sockbuf.offer sb m with
+                  | `Queued -> check fits; model := !model @ [ s ]
+                  | `Must_wait -> check ((not fits) && not shed); Msg.destroy m
+                  | `Dropped ->
+                    check ((not fits) && shed);
+                    incr drops;
+                    dropped := !dropped + String.length s)
+               | Peek (a, b) ->
+                 let off = if cc = 0 then 0 else a mod (cc + 1) in
+                 let len = if cc - off = 0 then 0 else b mod (cc - off + 1) in
+                 let v = Sockbuf.peek sb ~off ~len in
+                 check (Msg.to_string v = String.sub (contents ()) off len);
+                 Msg.destroy v
+               | Drop_front n ->
+                 let n = if cc = 0 then 0 else n mod (cc + 1) in
+                 Sockbuf.drop sb n;
+                 let rest = String.sub (contents ()) n (cc - n) in
+                 (* Whole messages leave the model; a cut one keeps its tail. *)
+                 let rec cut k = function
+                   | [] -> []
+                   | s :: tl when String.length s <= k -> cut (k - String.length s) tl
+                   | s :: tl -> String.sub s k (String.length s - k) :: tl
+                 in
+                 model := cut n !model;
+                 check (contents () = rest));
+              check (Sockbuf.cc sb = String.length (contents ()));
+              check (Sockbuf.drops sb = !drops && Sockbuf.dropped_bytes sb = !dropped))
+            ops;
+          Sockbuf.clear sb;
+          check (Sockbuf.cc sb = 0);
+          !ok))
+
 (* ------------------------------------------------------------------ *)
 (* Tcp_wire codec                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -242,7 +317,7 @@ let prop_tcp_wire_roundtrip =
               win = 123456; cksum = 0 }
           in
           let m = Msg.of_string pool "payload" in
-          Tcp_wire.encode m hdr;
+          Tcp_wire.encode m ~sport ~dport ~seq ~ack:hdr.Tcp_wire.ack ~flags ~win:123456;
           let got = Option.get (Tcp_wire.decode m) in
           Tcp_wire.strip m;
           let ok = got = hdr && Msg.to_string m = "payload" in
@@ -893,6 +968,7 @@ let suites =
         Alcotest.test_case "basic" `Quick test_sockbuf_basic;
         Alcotest.test_case "overflow rejected" `Quick test_sockbuf_overflow_rejected;
         Qrand.to_alcotest prop_sockbuf_stream;
+        Qrand.to_alcotest prop_sockbuf_model;
       ] );
     ("proto.wire", [ Qrand.to_alcotest prop_tcp_wire_roundtrip ]);
     ( "proto.fddi",

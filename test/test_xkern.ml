@@ -172,9 +172,7 @@ let test_mpool_untraced_no_alloc () =
   in
   in_sim p (fun () ->
       let m = Msg.create pool 64 in
-      let node =
-        match Msg.head_view m ~len:64 with Some (nd, _, _) -> nd | None -> assert false
-      in
+      let node = Msg.head_node m in
       let set = words_per_op (fun i -> Msg.set_u8 m (i land 63) i) in
       let refs =
         words_per_op (fun _ ->
