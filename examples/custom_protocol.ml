@@ -52,11 +52,11 @@ let () =
       if kind = 0 then (* request: echo it back *)
         send_packet ~ident ~kind:1 msg
       else begin
-        (match Ident_map.lookup pending ident with
-         | Some complete ->
+        (match Ident_map.find pending ident with
+         | complete ->
            ignore (Ident_map.remove pending ident);
            complete ()
-         | None -> ());
+         | exception Not_found -> ());
         Msg.destroy msg
       end);
 

@@ -33,14 +33,18 @@ type obs = {
 let fnv_offset = 0x4bf29ce484222325
 let fnv_prime = 0x100000001b3
 
-let digest_add acc s =
+let digest_add_bytes acc b ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Recovery.digest_add_bytes: out of bounds";
   let h = ref acc in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * fnv_prime)
-    s;
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get b i)) * fnv_prime
+  done;
   !h
+
+(* The string is only read. *)
+let digest_add acc s =
+  digest_add_bytes acc (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
 
 let digest s = digest_add fnv_offset s
 

@@ -73,6 +73,11 @@ val digest_add : int -> string -> int
 (** Extend a running {!digest}: [digest s = digest_add (digest "") s];
     feeding chunks in delivery order gives the whole-stream digest. *)
 
+val digest_add_bytes : int -> Bytes.t -> off:int -> len:int -> int
+(** {!digest_add} of [len] bytes of [b] from [off], for folding a
+    message's parts into a digest without copying them out.
+    @raise Invalid_argument if the range is outside [b]. *)
+
 val check : obs -> Finding.t list
 (** All recovery violations in the observation, sorted; [] = recovered. *)
 

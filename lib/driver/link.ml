@@ -6,16 +6,25 @@ open Pnp_proto
 
 (* One direction of the link: a serialising transmitter feeding a receive
    thread through a delivery queue.  Every offered frame runs through the
-   direction's fault pipeline before it reaches the wire. *)
+   direction's fault pipeline before it reaches the wire.  The queue is a
+   ring, the frames on the wire ride recycled [arrival]s and the receive
+   thread parks, so a frame crossing the link allocates nothing once
+   these have grown to the link's peak load. *)
 type direction = {
   dest : Stack.t;
-  queue : Msg.t Queue.t;
-  mutable rx_wakeup : (int -> unit) option; (* receive thread parked here *)
+  queue : Msg.t Ring.t; (* delivery queue *)
+  mutable rx : Sim.thread; (* the receive thread *)
+  mutable rx_parked : bool; (* parked on an empty queue *)
+  spare : arrival Ring.t; (* idle arrivals *)
   mutable busy_until : int; (* transmitter serialisation horizon *)
   mutable frames : int; (* frames OFFERED to this direction *)
   mutable pressure_drops : int; (* frames shed at rx for dest pool pressure *)
   faults : Faults.t;
 }
+
+(* A frame on the wire: [fire] is the engine event of its arrival, built
+   once per record. *)
+and arrival = { dir : direction; mutable frame : Msg.t; fire : unit -> unit }
 
 (* A frame pushed up the stack can allocate a couple of transient mnodes
    from the receiver's pool (header walk + a pure ACK in reply).  Shedding
@@ -31,6 +40,7 @@ type t = {
   ab : direction;
   ba : direction;
   mutable in_flight : int;
+  mutable on_fault : Faults.event -> unit; (* [trace_fault_event t], built once *)
 }
 
 type fault_stats = {
@@ -76,34 +86,51 @@ let trace_fault_event t ev =
     | Faults.Ev_reorder { delay_ns } -> trace_fault t (Trace.Fault_reorder { delay_ns })
     | Faults.Ev_delay _ -> () (* jitter perturbs timing only; not a fault event *)
 
-(* The receive side: a daemon thread that sleeps until frames arrive and
+(* The receive side: a daemon thread that parks until frames arrive and
    pushes them up the destination stack. *)
 let start_rx t dir ~name ~cpu =
-  ignore
-    (Sim.spawn t.plat.Platform.sim ~cpu ~name (fun () ->
-         while true do
-           if Queue.is_empty dir.queue then
-             Sim.suspend t.plat.Platform.sim (fun resume -> dir.rx_wakeup <- Some resume)
-           else begin
-             let frame = Queue.pop dir.queue in
-             t.in_flight <- t.in_flight - 1;
-             if Mpool.headroom dir.dest.Stack.pool < rx_headroom_margin then begin
-               dir.pressure_drops <- dir.pressure_drops + 1;
-               if tracing t then
-                 trace_fault t (Trace.Fault_drop { cause = "pool_pressure" });
-               Msg.destroy frame
-             end
-             else Fddi.input dir.dest.Stack.fddi frame
-           end
-         done))
+  dir.rx <-
+    Sim.spawn t.plat.Platform.sim ~cpu ~name (fun () ->
+        while true do
+          if Ring.is_empty dir.queue then begin
+            dir.rx_parked <- true;
+            Sim.park t.plat.Platform.sim
+          end
+          else begin
+            let frame = Ring.pop dir.queue in
+            t.in_flight <- t.in_flight - 1;
+            if Mpool.headroom dir.dest.Stack.pool < rx_headroom_margin then begin
+              dir.pressure_drops <- dir.pressure_drops + 1;
+              if tracing t then
+                trace_fault t (Trace.Fault_drop { cause = "pool_pressure" });
+              Msg.destroy frame
+            end
+            else Fddi.input dir.dest.Stack.fddi frame
+          end
+        done)
 
 let deliver t dir frame =
-  Queue.push frame dir.queue;
-  match dir.rx_wakeup with
-  | Some resume ->
-    dir.rx_wakeup <- None;
-    resume (Sim.now t.plat.Platform.sim)
-  | None -> ()
+  Ring.push dir.queue frame;
+  if dir.rx_parked then begin
+    dir.rx_parked <- false;
+    Sim.unpark t.plat.Platform.sim dir.rx (Sim.now t.plat.Platform.sim)
+  end
+
+let arrive t a =
+  Ring.push a.dir.spare a;
+  deliver t a.dir a.frame
+
+(* An idle arrival carrying [frame]. *)
+let arrival t dir frame =
+  if Ring.is_empty dir.spare then begin
+    let rec a = { dir; frame; fire = (fun () -> arrive t a) } in
+    a
+  end
+  else begin
+    let a = Ring.pop_last dir.spare in
+    a.frame <- frame;
+    a
+  end
 
 (* The transmit side: run the fault pipeline, then schedule each surviving
    frame's arrival after serialisation + propagation (+ any fault-injected
@@ -113,19 +140,17 @@ let transmit t dir frame =
   dir.frames <- dir.frames + 1;
   let sim = t.plat.Platform.sim in
   let now = Sim.now sim in
-  let deliveries =
-    Faults.feed dir.faults ~now
-      ~on_event:(trace_fault_event t)
-      frame
-  in
-  List.iter
-    (fun (frame, extra_ns) ->
-      let start = max now dir.busy_until in
-      let ser = serialisation_ns t (Msg.length frame) in
-      dir.busy_until <- start + ser;
-      t.in_flight <- t.in_flight + 1;
-      Sim.at sim (start + ser + t.latency + extra_ns) (fun () -> deliver t dir frame))
-    deliveries
+  let n = Faults.feed dir.faults ~now ~on_event:t.on_fault frame in
+  for i = 0 to n - 1 do
+    let frame = Faults.frame dir.faults i in
+    let start = max now dir.busy_until in
+    let ser = serialisation_ns t (Msg.length frame) in
+    dir.busy_until <- start + ser;
+    t.in_flight <- t.in_flight + 1;
+    Sim.at sim
+      (start + ser + t.latency + Faults.extra_ns dir.faults i)
+      (arrival t dir frame).fire
+  done
 
 let connect plat ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
     ?(loss_rate = 0.0) ?(plan = Faults.none) ~(a : Stack.t) ~(b : Stack.t) () =
@@ -141,15 +166,20 @@ let connect plat ?(latency = Units.us 50.0) ?(bandwidth_mbps = 100.0)
   let mk dest =
     {
       dest;
-      queue = Queue.create ();
-      rx_wakeup = None;
+      queue = Ring.create ();
+      rx = Sim.no_thread;
+      rx_parked = false;
+      spare = Ring.create ();
       busy_until = 0;
       frames = 0;
       pressure_drops = 0;
       faults = Faults.instantiate eff_plan ~prng:rng ~skip_bytes:Fddi.header_bytes;
     }
   in
-  let t = { plat; latency; bandwidth_mbps; ab = mk b; ba = mk a; in_flight = 0 } in
+  let t =
+    { plat; latency; bandwidth_mbps; ab = mk b; ba = mk a; in_flight = 0; on_fault = ignore }
+  in
+  t.on_fault <- trace_fault_event t;
   Fddi.set_transmit a.Stack.fddi (fun frame -> transmit t t.ab frame);
   Fddi.set_transmit b.Stack.fddi (fun frame -> transmit t t.ba frame);
   start_rx t t.ab ~name:"link.rx.b" ~cpu:100;

@@ -4,12 +4,15 @@ type t = {
   name : string;
   mutable next_ticket : int;
   mutable serving : int;
-  waiting : (int, int -> unit) Hashtbl.t; (* ticket -> resume *)
+  mutable waiting : (int, int -> unit) Hashtbl.t option;
+      (* ticket -> resume; built by the first contended [await], so a
+         gate that never blocks (most connections' gates) costs no
+         table *)
   mutable total_wait_ns : int;
 }
 
 let create sim arch ~name =
-  { sim; arch; name; next_ticket = 0; serving = 0; waiting = Hashtbl.create 16; total_wait_ns = 0 }
+  { sim; arch; name; next_ticket = 0; serving = 0; waiting = None; total_wait_ns = 0 }
 
 let trace t ev =
   let tracer = Sim.tracer t.sim in
@@ -31,10 +34,18 @@ let await t n =
   let waited =
     if n > t.serving then begin
       let enq = Sim.now t.sim in
+      let waiting =
+        match t.waiting with
+        | Some w -> w
+        | None ->
+          let w = Hashtbl.create 16 in
+          t.waiting <- Some w;
+          w
+      in
       Sim.suspend t.sim (fun resume ->
-          if Hashtbl.mem t.waiting n then
+          if Hashtbl.mem waiting n then
             failwith (Printf.sprintf "Gate.await %S: duplicate ticket %d" t.name n);
-          Hashtbl.replace t.waiting n resume);
+          Hashtbl.replace waiting n resume);
       let waited = Sim.now t.sim - enq in
       t.total_wait_ns <- t.total_wait_ns + waited;
       Sim.note_wait (Sim.self t.sim) waited;
@@ -53,11 +64,14 @@ let advance t =
      [Gate_pass] in the trace. *)
   if Trace.enabled (Sim.tracer t.sim) then
     trace t (Trace.Gate_advance { gate = t.name; serving = t.serving });
-  match Hashtbl.find_opt t.waiting t.serving with
+  match t.waiting with
   | None -> ()
-  | Some resume ->
-    Hashtbl.remove t.waiting t.serving;
-    resume (Sim.now t.sim)
+  | Some waiting -> (
+    match Hashtbl.find_opt waiting t.serving with
+    | None -> ()
+    | Some resume ->
+      Hashtbl.remove waiting t.serving;
+      resume (Sim.now t.sim))
 
 let serving t = t.serving
 let tickets_issued t = t.next_ticket

@@ -1,15 +1,21 @@
 open Pnp_util
 
+(* A record spawned by [spawn_detached] is recycled: on exit it goes back
+   to its world's free list and the next detached spawn gives it a fresh
+   tid, cpu and name, so those three are mutable. *)
 type thread = {
-  tid : int;
-  cpu : int;
-  name : string;
+  mutable tid : int;
+  mutable cpu : int;
+  mutable name : string;
   mutable finished : bool;
   mutable runnable : bool; (* has a scheduled resumption (or is running) *)
   mutable waited_ns : int;
   mutable suspend_gen : int; (* suspension generation; catches stale resumes *)
   mutable parked : (unit, unit) Effect.Deep.continuation; (* resumed by [wake] *)
   mutable wake : unit -> unit; (* this thread's resume event, built once *)
+  mutable body : unit -> unit; (* run by [start] *)
+  mutable start : unit -> unit; (* this thread's start event, built once *)
+  detached : bool; (* no handle was returned: recycled on exit *)
 }
 
 type t = {
@@ -19,7 +25,10 @@ type t = {
   mutable next_tid : int;
   mutable next_cpu : int;
   mutable current : thread; (* [no_thread] between bursts *)
-  mutable threads : thread array; (* tid-indexed; first [next_tid] slots live *)
+  mutable threads : thread array;
+      (* tid-indexed over the first [next_tid] slots; a recycled thread's
+         slot holds [no_thread] *)
+  spare : thread Ring.t; (* exited detached threads *)
   mutable stopping : bool;
   mutable processed : int;
   tracer : Trace.t;
@@ -82,6 +91,9 @@ let no_thread =
     suspend_gen = 0;
     parked = no_k;
     wake = nop;
+    body = nop;
+    start = nop;
+    detached = false;
   }
 
 let create ?(seed = 42) () =
@@ -93,6 +105,7 @@ let create ?(seed = 42) () =
     next_cpu = 0;
     current = no_thread;
     threads = [||];
+    spare = Ring.create ();
     stopping = false;
     processed = 0;
     tracer = Trace.create ();
@@ -147,18 +160,29 @@ let unpark t th time =
   th.runnable <- true;
   at t time th.wake
 
-(* Run [f] as the body of [th]: effects performed inside are handled here.
-   Each resumption of the thread's continuation happens from an event-loop
-   callback, so [t.current] is set for the duration of each burst of
-   execution and cleared when the thread suspends or finishes.
+(* Give a retired detached thread back to the free list: its tid slot
+   is cleared, so diagnostics no longer list it, and the record with its
+   prebuilt handler and events waits for the next [spawn_detached]. *)
+let retire t th =
+  t.threads.(th.tid) <- no_thread;
+  th.body <- nop;
+  th.parked <- no_k;
+  Ring.push t.spare th
 
-   Everything a suspension needs is built here, once per thread: the
-   [Delay] and [Park] branches of the handler and the resume event
+(* Build [th]'s handler and events: effects performed by its body are
+   handled here.  Each resumption of the thread's continuation happens
+   from an event-loop callback, so [t.current] is set for the duration of
+   each burst of execution and cleared when the thread suspends or
+   finishes.
+
+   Everything a suspension needs is built here, once per thread record:
+   the [Delay] and [Park] branches of the handler and the resume event
    [th.wake], which continues whatever continuation is parked in
    [th.parked].  A thread has at most one pending resumption, so one
    event per thread is enough; a contended [delay] or a [park] then
-   allocates only the continuation the runtime captures. *)
-let start_thread t th body =
+   allocates only the continuation the runtime captures.  A recycled
+   record keeps all of it, start event included, across its lives. *)
+let init_thread t th =
   let open Effect.Deep in
   (* A fresh generation per suspension: a [resume] carrying an old
      generation (or arriving while the thread is already runnable) is a
@@ -193,7 +217,8 @@ let start_thread t th body =
       retc =
         (fun () ->
           th.finished <- true;
-          trace_thread t th Trace.Thread_exit);
+          trace_thread t th Trace.Thread_exit;
+          if th.detached then retire t th);
       exnc = raise;
       effc =
         (fun (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option ->
@@ -212,11 +237,12 @@ let start_thread t th body =
           | _ -> None);
     }
   in
-  run_burst t th (match_with body ()) handler
+  let enter th = match_with th.body () handler in
+  th.start <- (fun () -> run_burst t th enter th)
 
-(* Append [th] to the tid-indexed table, doubling the backing array as
-   needed (the table replaces the old newest-first list, so diagnostics
-   walk threads in tid order and tid lookups are O(1)). *)
+(* Append [th] to the tid-indexed table under the next tid, doubling the
+   backing array as needed (the table replaces the old newest-first list,
+   so diagnostics walk threads in tid order and tid lookups are O(1)). *)
 let register_thread t th =
   let cap = Array.length t.threads in
   if t.next_tid >= cap then begin
@@ -224,8 +250,45 @@ let register_thread t th =
     Array.blit t.threads 0 table 0 t.next_tid;
     t.threads <- table
   end;
+  th.tid <- t.next_tid;
   t.threads.(t.next_tid) <- th;
   t.next_tid <- t.next_tid + 1
+
+(* Register [th] (its cpu, name and body already set) and schedule its
+   start at the current time. *)
+let launch t th =
+  register_thread t th;
+  Trace.register_thread t.tracer ~tid:th.tid ~cpu:th.cpu th.name;
+  (* The fork edge: when the spawner is itself a simulated thread, its
+     past happens-before everything the child does.  Emitted with the
+     parent's tid so the happens-before checker can seed the child's
+     clock from it; top-level spawns (setup code) have no parent edge. *)
+  if Trace.enabled t.tracer then begin
+    if t.current != no_thread then
+      trace_thread t t.current (Trace.Thread_fork { child = th.tid });
+    trace_thread t th (Trace.Thread_spawn { name = th.name })
+  end;
+  at t t.now th.start
+
+let new_thread t ~cpu ~name ~detached body =
+  let th =
+    {
+      tid = -1;
+      cpu;
+      name;
+      finished = false;
+      runnable = true;
+      waited_ns = 0;
+      suspend_gen = 0;
+      parked = no_k;
+      wake = nop;
+      body;
+      start = nop;
+      detached;
+    }
+  in
+  init_thread t th;
+  th
 
 let spawn t ?cpu ~name body =
   let cpu =
@@ -236,32 +299,24 @@ let spawn t ?cpu ~name body =
       t.next_cpu <- t.next_cpu + 1;
       c
   in
-  let th =
-    {
-      tid = t.next_tid;
-      cpu;
-      name;
-      finished = false;
-      runnable = true;
-      waited_ns = 0;
-      suspend_gen = 0;
-      parked = no_k;
-      wake = nop;
-    }
-  in
-  register_thread t th;
-  Trace.register_thread t.tracer ~tid:th.tid ~cpu:th.cpu name;
-  (* The fork edge: when the spawner is itself a simulated thread, its
-     past happens-before everything the child does.  Emitted with the
-     parent's tid so the happens-before checker can seed the child's
-     clock from it; top-level spawns (setup code) have no parent edge. *)
-  if Trace.enabled t.tracer then begin
-    if t.current != no_thread then
-      trace_thread t t.current (Trace.Thread_fork { child = th.tid });
-    trace_thread t th (Trace.Thread_spawn { name })
-  end;
-  at t t.now (fun () -> start_thread t th body);
+  let th = new_thread t ~cpu ~name ~detached:false body in
+  launch t th;
   th
+
+let spawn_detached t ~cpu ~name body =
+  if Ring.is_empty t.spare then launch t (new_thread t ~cpu ~name ~detached:true body)
+  else begin
+    let th = Ring.pop_last t.spare in
+    th.cpu <- cpu;
+    th.name <- name;
+    th.finished <- false;
+    th.runnable <- true;
+    th.waited_ns <- 0;
+    (* [suspend_gen] runs on across lives, so a resume function left over
+       from an earlier life is still refused as stale. *)
+    th.body <- body;
+    launch t th
+  end
 
 let in_thread t = t.current != no_thread
 

@@ -43,6 +43,18 @@ val spawn : t -> ?cpu:int -> name:string -> (unit -> unit) -> thread
     The body may call {!delay}, {!suspend} and the blocking operations of
     {!Lock}, {!Gate} and {!Membus}. *)
 
+val spawn_detached : t -> cpu:int -> name:string -> (unit -> unit) -> unit
+(** [spawn_detached t ~cpu ~name body] is {!spawn} for a short-lived
+    thread nobody keeps a handle to (a timer tick's service thread).  It
+    starts the same way: a fresh tid, the same [Thread_fork] and
+    [Thread_spawn] records, the same start event.  When [body] returns,
+    the thread's record, its effect handler and its resume and start
+    events go back to a per-world free list, its tid slot is cleared (so
+    {!live_threads} and {!blocked_threads} no longer list it), and the
+    next detached spawn reuses them under a new tid, cpu and name.  A
+    detached spawn then allocates no thread record and no closures.
+    The body must not exit while holding a lock. *)
+
 val at : t -> Pnp_util.Units.ns -> (unit -> unit) -> unit
 (** [at t time f] schedules the callback [f] at absolute [time].  Callbacks
     run outside any thread and must not block. *)

@@ -68,10 +68,21 @@ let find name = Option.map snd (List.find_opt (fun (n, _) -> n = name) builtin)
    base-RTT draw must depend on the seed but not on frame order. *)
 type inst = { spec : stage; rng : Prng.t; mutable ge_bad : bool; salt : int }
 
+(* A stage's candidate frames, each with the extra delay it has gathered
+   so far.  [feed] passes them from stage to stage through two buffers
+   that swap roles each stage, so a frame allocates no list, tuple or
+   closure.  The buffers are taken from [spare] for the call and carried
+   through it: a stage can suspend the offering thread (a drop or a
+   duplicate touches reference counts, which costs simulated time), and
+   another thread may feed the same instance meanwhile. *)
+type buffer = { msgs : Msg.t Ring.t; delays : int Ring.t }
+
 type t = {
   source : plan;
   skip_bytes : int;
   insts : inst list;
+  spare : buffer Ring.t; (* buffers no [feed] holds *)
+  mutable last : buffer; (* the survivors of the last [feed] to return *)
   mutable offered : int;
   mutable dropped_loss : int;
   mutable dropped_burst : int;
@@ -97,6 +108,8 @@ let consuming = function
 let normalise stages =
   List.filter consuming stages @ List.filter (fun s -> not (consuming s)) stages
 
+let new_buffer () = { msgs = Ring.create (); delays = Ring.create () }
+
 let instantiate plan ~prng ~skip_bytes =
   {
     source = plan;
@@ -110,6 +123,8 @@ let instantiate plan ~prng ~skip_bytes =
           in
           { spec; rng; ge_bad = false; salt })
         (normalise plan.stages);
+    spare = Ring.create ();
+    last = new_buffer ();
     offered = 0;
     dropped_loss = 0;
     dropped_burst = 0;
@@ -162,14 +177,16 @@ let flip_one_bit t inst msg =
    per packet (id, ttl, length, the IP checksum) are deliberately
    excluded, so every frame of a connection hashes alike and the WAN
    stage's path-length draw is stable for the connection's lifetime. *)
+let flow_byte t msg len h off =
+  if t.skip_bytes + off < len then
+    (h lxor Msg.get_u8 msg (t.skip_bytes + off)) * 0x01000193 land 0x3FFFFFFF
+  else h
+
 let flow_hash t inst msg =
   let len = Msg.length msg in
-  let h = ref (0x811c9dc5 lxor inst.salt) in
-  let mix b = h := (!h lxor b) * 0x01000193 land 0x3FFFFFFF in
-  let byte off = if t.skip_bytes + off < len then mix (Msg.get_u8 msg (t.skip_bytes + off)) in
-  byte 9;
+  let h = ref (flow_byte t msg len (0x811c9dc5 lxor inst.salt) 9) in
   for off = 12 to 19 do
-    byte off
+    h := flow_byte t msg len !h off
   done;
   let frag_off =
     if t.skip_bytes + 7 < len then
@@ -179,7 +196,7 @@ let flow_hash t inst msg =
   in
   if frag_off = 0 then
     for off = 20 to 23 do
-      byte off
+      h := flow_byte t msg len !h off
     done;
   !h
 
@@ -189,17 +206,25 @@ let in_blackout ~start_ns ~duration_ns ~period_ns now =
   if period_ns <= 0 then now < start_ns + duration_ns
   else (now - start_ns) mod period_ns < duration_ns
 
-(* Run one candidate frame through one stage.  [None] means consumed. *)
-let apply_stage t ~now ~on_event inst (msg, delay) =
+(* Pass a frame on to the next stage. *)
+let keep out msg delay =
+  Ring.push out.msgs msg;
+  Ring.push out.delays delay
+
+let clear b =
+  Ring.clear b.msgs;
+  Ring.clear b.delays
+
+(* Run one candidate frame through one stage, passing on what survives. *)
+let apply_stage t ~now ~on_event inst out msg delay =
   match inst.spec with
   | Bernoulli_loss { p } ->
     if hit inst.rng p then begin
       t.dropped_loss <- t.dropped_loss + 1;
       on_event (Ev_drop Random_loss);
-      Msg.destroy msg;
-      []
+      Msg.destroy msg
     end
-    else [ (msg, delay) ]
+    else keep out msg delay
   | Gilbert_elliott { p_gb; p_bg; loss_good; loss_bad } ->
     let loss = if inst.ge_bad then loss_bad else loss_good in
     let drop = hit inst.rng loss in
@@ -211,64 +236,97 @@ let apply_stage t ~now ~on_event inst (msg, delay) =
     if drop then begin
       t.dropped_burst <- t.dropped_burst + 1;
       on_event (Ev_drop Burst_loss);
-      Msg.destroy msg;
-      []
+      Msg.destroy msg
     end
-    else [ (msg, delay) ]
+    else keep out msg delay
   | Duplicate { p } ->
     if hit inst.rng p then begin
       t.duplicated <- t.duplicated + 1;
       on_event Ev_dup;
-      [ (msg, delay); (Msg.dup msg, delay) ]
+      keep out msg delay;
+      keep out (Msg.dup msg) delay
     end
-    else [ (msg, delay) ]
+    else keep out msg delay
   | Reorder { p; hold_ns } ->
     if hit inst.rng p then begin
       t.reordered <- t.reordered + 1;
       on_event (Ev_reorder { delay_ns = hold_ns });
-      [ (msg, delay + hold_ns) ]
+      keep out msg (delay + hold_ns)
     end
-    else [ (msg, delay) ]
+    else keep out msg delay
   | Corrupt { p } ->
-    if hit inst.rng p then begin
-      match flip_one_bit t inst msg with
-      | Some (off, bit) ->
-        t.corrupted <- t.corrupted + 1;
-        on_event (Ev_corrupt { off; bit });
-        [ (msg, delay) ]
-      | None -> [ (msg, delay) ] (* header-only runt; nothing safe to flip *)
-    end
-    else [ (msg, delay) ]
+    (if hit inst.rng p then
+       match flip_one_bit t inst msg with
+       | Some (off, bit) ->
+         t.corrupted <- t.corrupted + 1;
+         on_event (Ev_corrupt { off; bit })
+       | None -> () (* header-only runt; nothing safe to flip *));
+    keep out msg delay
   | Jitter { p; spike_ns } ->
     if hit inst.rng p && spike_ns > 0 then begin
       let spike = Prng.int inst.rng spike_ns in
       t.delayed <- t.delayed + 1;
       on_event (Ev_delay { delay_ns = spike });
-      [ (msg, delay + spike) ]
+      keep out msg (delay + spike)
     end
-    else [ (msg, delay) ]
+    else keep out msg delay
   | Wan_rtt { base_ns; spread_ns } ->
     let extra =
       base_ns + if spread_ns > 0 then flow_hash t inst msg mod spread_ns else 0
     in
     t.wan_stretched <- t.wan_stretched + 1;
     on_event (Ev_delay { delay_ns = extra });
-    [ (msg, delay + extra) ]
+    keep out msg (delay + extra)
   | Blackout { start_ns; duration_ns; period_ns } ->
     if in_blackout ~start_ns ~duration_ns ~period_ns now then begin
       t.dropped_blackout <- t.dropped_blackout + 1;
       on_event (Ev_drop Blackout_window);
-      Msg.destroy msg;
-      []
+      Msg.destroy msg
     end
-    else [ (msg, delay) ]
+    else keep out msg delay
+
+(* Stage by stage, each stage taking every candidate in order, so the
+   PRNG draws and the order frames leave in depend only on the plan and
+   the offered frames.  Returns the buffer holding the survivors. *)
+let rec run_stages t ~now ~on_event input output = function
+  | [] -> input
+  | inst :: rest ->
+    clear output;
+    for i = 0 to Ring.length input.msgs - 1 do
+      apply_stage t ~now ~on_event inst output (Ring.get input.msgs i)
+        (Ring.get input.delays i)
+    done;
+    run_stages t ~now ~on_event output input rest
+
+let take t = if Ring.is_empty t.spare then new_buffer () else Ring.pop_last t.spare
 
 let feed t ~now ~on_event msg =
   t.offered <- t.offered + 1;
-  List.fold_left
-    (fun candidates inst ->
-      List.concat_map (apply_stage t ~now ~on_event inst) candidates)
-    [ (msg, 0) ] t.insts
+  let a = take t in
+  let b = take t in
+  clear a;
+  keep a msg 0;
+  match run_stages t ~now ~on_event a b t.insts with
+  | survivors ->
+    (* Both buffers go back at once: the caller reads the survivors
+       before it can suspend, so no other [feed] overwrites them first. *)
+    Ring.push t.spare a;
+    Ring.push t.spare b;
+    t.last <- survivors;
+    Ring.length survivors.msgs
+  | exception e ->
+    Ring.push t.spare a;
+    Ring.push t.spare b;
+    raise e
+
+let frame t i =
+  if i < 0 || i >= Ring.length t.last.msgs then invalid_arg "Faults.frame: no such output";
+  Ring.get t.last.msgs i
+
+let extra_ns t i =
+  if i < 0 || i >= Ring.length t.last.msgs then
+    invalid_arg "Faults.extra_ns: no such output";
+  Ring.get t.last.delays i
 
 let offered t = t.offered
 let dropped t = t.dropped_loss + t.dropped_burst + t.dropped_blackout

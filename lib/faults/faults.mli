@@ -102,13 +102,25 @@ and drop_cause = Random_loss | Burst_loss | Blackout_window
 val drop_cause_label : drop_cause -> string
 (** ["loss"], ["burst"] or ["blackout"]. *)
 
-val feed :
-  t -> now:int -> on_event:(event -> unit) -> Pnp_xkern.Msg.t -> (Pnp_xkern.Msg.t * int) list
-(** Run one offered frame through the pipeline.  Returns the frames to
-    put on the wire, each with the extra delay (ns) the fault stages
-    added on top of serialisation + propagation; the empty list means the
+val feed : t -> now:int -> on_event:(event -> unit) -> Pnp_xkern.Msg.t -> int
+(** Run one offered frame through the pipeline and return how many
+    frames to put on the wire: read them in order with {!frame} and
+    {!extra_ns} before the calling thread next suspends.  0 means the
     frame was consumed (it has already been destroyed).  Must be called
-    in frame-offer order for determinism. *)
+    in frame-offer order for determinism.  A stage may suspend the
+    calling thread (reference counts cost simulated time), and another
+    thread may feed the same instance meanwhile: each call works in its
+    own buffers, so neither sees the other's frames.  Beyond the events
+    it reports, a frame allocates nothing once the instance's buffers
+    have grown to its widest fan-out and deepest nesting. *)
+
+val frame : t -> int -> Pnp_xkern.Msg.t
+(** [frame t i] is the [i]th frame the last {!feed} to return put out,
+    [0 <= i] and [i] below that call's result. *)
+
+val extra_ns : t -> int -> int
+(** The extra delay (ns) the fault stages added to [frame t i] on top
+    of serialisation + propagation. *)
 
 (** {2 Accounting}
 

@@ -39,6 +39,9 @@ let locking_label = function
    cells exchange different bytes. *)
 let golden ~seed ~bytes = String.init bytes (fun i -> Char.chr (32 + ((i + (seed * 131)) mod 95)))
 
+(* One part of a received message into the running stream digest. *)
+let digest_part acc node off len = Recovery.digest_add_bytes acc (Mpool.data node) ~off ~len
+
 let caught_checksums (a : Stack.t) (b : Stack.t) =
   Ip.header_failures a.Stack.ip + Ip.header_failures b.Stack.ip
   + Tcp.checksum_failures a.Stack.tcp
@@ -72,10 +75,11 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
         let lst = Socket.Listener.listen plat b.Stack.pool b.Stack.tcp ~port:80 in
         let sock = Socket.Listener.accept lst in
         let rec drain () =
-          match Socket.recv_string sock with
-          | Some s ->
-            received_bytes := !received_bytes + String.length s;
-            received_digest := Recovery.digest_add !received_digest s;
+          match Socket.recv sock with
+          | Some m ->
+            received_bytes := !received_bytes + Msg.length m;
+            received_digest := Msg.fold_parts m digest_part !received_digest;
+            Msg.destroy m;
             drain ()
           | None ->
             got_eof := true;
@@ -95,7 +99,7 @@ let tcp_world ~plan ~disc ~tcp_locking ~seed ~bytes ~horizon =
         let rec send_from off =
           if off < n then begin
             let len = min 1000 (n - off) in
-            Socket.send_string sock (String.sub payload off len);
+            Socket.send_substring sock payload ~off ~len;
             send_from (off + len)
           end
         in

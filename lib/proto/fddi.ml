@@ -87,14 +87,14 @@ let input t msg =
     ignore (get_mac msg 1);
     Msg.pop msg header_bytes;
     t.frames_in <- t.frames_in + 1;
-    match Type_map.lookup t.upper ethertype with
-    | Some handler ->
+    match Type_map.find t.upper ethertype with
+    | handler ->
       (* The x-kernel pins objects across the upcall with reference
          counts: two counter operations per layer on the fast path. *)
       ignore (Atomic_ctr.incr t.obj_ref);
       handler msg;
       ignore (Atomic_ctr.decr t.obj_ref)
-    | None ->
+    | exception Not_found ->
       t.dropped <- t.dropped + 1;
       Msg.destroy msg
   end

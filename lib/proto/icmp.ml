@@ -63,11 +63,11 @@ let input t ~src ~dst:_ msg =
     end
     else if ty = type_echo_reply then begin
       let key = { Pending_key.ident; seq } in
-      match Pending_map.lookup t.pending key with
-      | None ->
+      match Pending_map.find t.pending key with
+      | exception Not_found ->
         t.bad <- t.bad + 1;
         Msg.destroy msg
-      | Some p ->
+      | p ->
         ignore (Pending_map.remove t.pending key);
         let payload_ok =
           Msg.length msg = header_bytes + p.payload_len

@@ -142,12 +142,12 @@ let verify_header msg =
   !sum = 0xffff
 
 let deliver t ~proto ~src ~dst msg =
-  match Proto_map.lookup t.upper proto with
-  | Some handler ->
+  match Proto_map.find t.upper proto with
+  | handler ->
     ignore (Atomic_ctr.incr t.obj_ref);
     handler ~src ~dst msg;
     ignore (Atomic_ctr.decr t.obj_ref)
-  | None ->
+  | exception Not_found ->
     t.dropped <- t.dropped + 1;
     Msg.destroy msg
 
@@ -207,9 +207,9 @@ let input t msg =
       let completed = ref None in
       locked t (fun () ->
           let chain =
-            match Frag_map.lookup t.frags key with
-            | Some c -> c
-            | None ->
+            match Frag_map.find t.frags key with
+            | c -> c
+            | exception Not_found ->
               let c = { pieces = []; timeout = None } in
               c.timeout <-
                 Some

@@ -1,27 +1,24 @@
+open Pnp_util
 open Pnp_xkern
 
 type policy = Block | Drop
 
-(* The queued messages, front first, in a ring: [segs.((head + i) land
-   (capacity - 1))] for i < n, the capacity 0 until the first enqueue and
-   a power of two after it.  Enqueue, peek and drop touch only the
-   messages they need and allocate nothing until the ring doubles.  A
-   slot left behind by [drop] keeps the handle of a destroyed message,
-   which holds no node. *)
+(* The queued messages, front first, in a ring.  Enqueue, peek and drop
+   touch only the messages they need and allocate nothing until the ring
+   doubles.  A slot left behind by [drop] keeps the handle of a destroyed
+   message, which holds no node. *)
 type t = {
   pool : Mpool.t;
   max : int;
   policy : policy;
-  mutable segs : Msg.t array;
-  mutable head : int;
-  mutable n : int;
+  segs : Msg.t Ring.t;
   mutable cc : int;
   mutable drops : int; (* messages shed by the Drop policy *)
   mutable dropped_bytes : int;
 }
 
 let create ?(policy = Block) pool ~max =
-  { pool; max; policy; segs = [||]; head = 0; n = 0; cc = 0; drops = 0; dropped_bytes = 0 }
+  { pool; max; policy; segs = Ring.create (); cc = 0; drops = 0; dropped_bytes = 0 }
 
 let cc t = t.cc
 let space t = t.max - t.cc
@@ -30,27 +27,9 @@ let policy t = t.policy
 let drops t = t.drops
 let dropped_bytes t = t.dropped_bytes
 
-(* The [i]th queued message. *)
-let slot t i = (t.head + i) land (Array.length t.segs - 1)
-let seg t i = t.segs.(slot t i)
-
 let enqueue t msg =
-  let cap = Array.length t.segs in
-  if t.n = cap then begin
-    let grown = Array.make (max 8 (2 * cap)) msg in
-    for i = 0 to t.n - 1 do
-      grown.(i) <- seg t i
-    done;
-    t.segs <- grown;
-    t.head <- 0
-  end;
-  t.segs.(slot t t.n) <- msg;
-  t.n <- t.n + 1;
+  Ring.push t.segs msg;
   t.cc <- t.cc + Msg.length msg
-
-let dequeue t =
-  t.head <- slot t 1;
-  t.n <- t.n - 1
 
 let append t msg =
   if Msg.length msg > space t then invalid_arg "Sockbuf.append: no space";
@@ -83,7 +62,7 @@ let peek t ~off ~len =
   let out = Msg.create t.pool 0 in
   let i = ref 0 and off = ref off and len = ref len in
   while !len > 0 do
-    let m = seg t !i in
+    let m = Ring.get t.segs !i in
     let mlen = Msg.length m in
     if !off >= mlen then off := !off - mlen
     else begin
@@ -100,11 +79,11 @@ let drop t n =
   if n < 0 || n > t.cc then invalid_arg "Sockbuf.drop: out of range";
   let rem = ref n in
   while !rem > 0 do
-    let m = seg t 0 in
+    let m = Ring.get t.segs 0 in
     let mlen = Msg.length m in
     if mlen <= !rem then begin
       Msg.destroy m;
-      dequeue t;
+      ignore (Ring.pop t.segs);
       rem := !rem - mlen
     end
     else begin
@@ -115,8 +94,8 @@ let drop t n =
   t.cc <- t.cc - n
 
 let clear t =
-  while t.n > 0 do
-    Msg.destroy (seg t 0);
-    dequeue t
+  while not (Ring.is_empty t.segs) do
+    Msg.destroy (Ring.get t.segs 0);
+    ignore (Ring.pop t.segs)
   done;
   t.cc <- 0

@@ -49,9 +49,11 @@ let send t msg = Tcp.send t.sess msg
    BEFORE allocating the message.  Without this a storm of senders can
    exhaust the pool with freshly built messages that [Tcp.send]'s own
    admission check never gets to see.  No-op on unbounded pools. *)
-let send_string t s =
+let send_substring t s ~off ~len =
   Mpool.await_headroom t.pool;
-  send t (Msg.of_string t.pool s)
+  send t (Msg.of_substring t.pool s ~off ~len)
+
+let send_string t s = send_substring t s ~off:0 ~len:(String.length s)
 
 let rec recv t =
   if not (Queue.is_empty t.inbox) then begin

@@ -32,6 +32,12 @@ val send_string : t -> string -> unit
     storm of senders degrades into queuing instead of exhausting a
     bounded pool. *)
 
+val send_substring : t -> string -> off:int -> len:int -> unit
+(** {!send_string} of [len] bytes of [s] from [off], copied once into
+    the message ({!Pnp_xkern.Msg.of_substring}): a sender streaming
+    slices of one buffer builds no intermediate strings.
+    @raise Invalid_argument if the range is outside [s]. *)
+
 val recv : t -> Pnp_xkern.Msg.t option
 (** The next chunk of in-order payload, blocking until one arrives.
     [None] means the peer closed its half (end of stream).  The caller

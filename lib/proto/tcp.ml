@@ -265,12 +265,13 @@ type t = {
   mutable all_sessions : session list;
   accepting : (session -> unit) Conn_map.t; (* listen ports, wildcard-keyed *)
   mutable timers_running : bool;
+  mutable on_fasttimo : unit -> unit; (* [fasttimo] then re-arm; built once *)
+  mutable on_slowtimo : unit -> unit;
   mutable shutdown : bool;
   mutable cksum_failures : int; (* segments discarded by checksum verification *)
   mutable syn_backlog_drops : int; (* SYNs shed by a full listener backlog *)
   nil_msg : Msg.t; (* empty, never sent: fills unused [io] slots *)
-  mutable spare_io : io array;
-  mutable n_spare_io : int;
+  spare_io : io Pnp_util.Ring.t;
 }
 
 and session = {
@@ -509,10 +510,7 @@ let hdr_rem_release sess =
 (* ------------------------------------------------------------------ *)
 
 let io_take t =
-  if t.n_spare_io > 0 then begin
-    t.n_spare_io <- t.n_spare_io - 1;
-    t.spare_io.(t.n_spare_io)
-  end
+  if not (Pnp_util.Ring.is_empty t.spare_io) then Pnp_util.Ring.pop_last t.spare_io
   else
     {
       key = { Conn_key.lport = 0; raddr = 0; rport = 0 };
@@ -525,14 +523,7 @@ let io_take t =
 
 (* A pass gives its record back empty: [transmit] and [upcall] empty the
    lists they walk and clear the slots. *)
-let io_give t io =
-  if t.n_spare_io = Array.length t.spare_io then begin
-    let grown = Array.make (max 8 (2 * t.n_spare_io)) io in
-    Array.blit t.spare_io 0 grown 0 t.n_spare_io;
-    t.spare_io <- grown
-  end;
-  t.spare_io.(t.n_spare_io) <- io;
-  t.n_spare_io <- t.n_spare_io + 1
+let io_give t io = Pnp_util.Ring.push t.spare_io io
 
 let grow a = Array.append a a
 
@@ -1138,9 +1129,9 @@ let release_syn_slot sess =
   if tcb.syn_counted then begin
     tcb.syn_counted <- false;
     let lkey = { Conn_key.lport = sess.key.Conn_key.lport; raddr = 0; rport = 0 } in
-    match Conn_map.lookup t.conns lkey with
-    | Some l when l.tcb.state = Listen -> l.tcb.syn_pending <- l.tcb.syn_pending - 1
-    | _ -> ()
+    match Conn_map.find t.conns lkey with
+    | l when l.tcb.state = Listen -> l.tcb.syn_pending <- l.tcb.syn_pending - 1
+    | _ | (exception Not_found) -> ()
   end
 
 (* Non-established states: the connection machinery. *)
@@ -1478,18 +1469,18 @@ let segment_arrives sess io ~sport ~seq ~ack ~(flags : Tcp_wire.flags) ~win ~cks
 (* ------------------------------------------------------------------ *)
 
 (* The connection, else the port's listener, looked up with [io]'s
-   scratch key. *)
-let lookup_session t (io : io) ~lport ~raddr ~rport =
+   scratch key.  @raise Not_found when there is neither. *)
+let find_session t (io : io) ~lport ~raddr ~rport =
   let k = io.key in
   k.Conn_key.lport <- lport;
   k.Conn_key.raddr <- raddr;
   k.Conn_key.rport <- rport;
-  match Conn_map.lookup t.conns k with
-  | Some _ as found -> found
-  | None ->
+  match Conn_map.find t.conns k with
+  | sess -> sess
+  | exception Not_found ->
     k.Conn_key.raddr <- 0;
     k.Conn_key.rport <- 0;
-    Conn_map.lookup t.conns k
+    Conn_map.find t.conns k
 
 let handshake_syn t io listener_key accept ~sport ~seq ~win ~src =
   (* Passive open: make the child session and send SYN-ACK. *)
@@ -1555,11 +1546,11 @@ let input t ~src ~dst msg =
       Msg.destroy msg
     end
     else begin
-      match lookup_session t io ~lport:dport ~raddr:src ~rport:sport with
-      | None ->
+      match find_session t io ~lport:dport ~raddr:src ~rport:sport with
+      | exception Not_found ->
         span_end t.plat ~seq Trace.Ip;
         Msg.destroy msg
-      | Some sess ->
+      | sess ->
         ignore (Atomic_ctr.incr sess.sess_ref);
         hdr_rem_acquire sess;
         let proceed = six_cksum_ok t ~src ~dst ~cksum msg in
@@ -1571,8 +1562,8 @@ let input t ~src ~dst msg =
            match (sess.tcb.state, flags.Tcp_wire.syn) with
            | Listen, true -> (
              (* find the accept callback for this port *)
-             match Conn_map.lookup t.accepting sess.key with
-             | Some accept ->
+             match Conn_map.find t.accepting sess.key with
+             | accept ->
                Msg.destroy msg;
                if
                  t.cfg.syn_backlog > 0
@@ -1586,7 +1577,7 @@ let input t ~src ~dst msg =
                  sess.tcb.syn_pending <- sess.tcb.syn_pending + 1;
                  handshake_syn t io sess.key accept ~sport ~seq ~win ~src
                end
-             | None -> Msg.destroy msg)
+             | exception Not_found -> Msg.destroy msg)
            | _ -> segment_arrives sess io ~sport ~seq ~ack ~flags ~win ~cksum msg);
         ignore (Atomic_ctr.decr sess.sess_ref)
     end;
@@ -1597,18 +1588,18 @@ let input t ~src ~dst msg =
 (* Timers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let fasttimo t =
-  List.iter
-    (fun sess ->
-      if sess.tcb.delack_pending then begin
-        let io = io_take t in
-        input_acquire sess;
-        if sess.tcb.delack_pending then emit_ack sess io;
-        input_release sess;
-        transmit sess io;
-        io_give t io
-      end)
-    t.all_sessions
+(* The timer walks visit every session through top-level functions, so a
+   timeout that finds nothing to do allocates nothing. *)
+let fasttimo_session sess =
+  if sess.tcb.delack_pending then begin
+    let t = sess.proto in
+    let io = io_take t in
+    input_acquire sess;
+    if sess.tcb.delack_pending then emit_ack sess io;
+    input_release sess;
+    transmit sess io;
+    io_give t io
+  end
 
 let rexmt_timeout sess =
   let t = sess.proto in
@@ -1659,37 +1650,38 @@ let persist_timeout sess =
   transmit sess io;
   io_give t io
 
+let slowtimo_session sess =
+  let tcb = sess.tcb in
+  if tcb.t_rexmt > 0 then begin
+    tcb.t_rexmt <- tcb.t_rexmt - 1;
+    if tcb.t_rexmt = 0 then rexmt_timeout sess
+  end;
+  if tcb.t_persist > 0 then begin
+    tcb.t_persist <- tcb.t_persist - 1;
+    if tcb.t_persist = 0 then persist_timeout sess
+  end;
+  if tcb.t_2msl > 0 then begin
+    tcb.t_2msl <- tcb.t_2msl - 1;
+    if tcb.t_2msl = 0 && tcb.state = Time_wait then tcb.state <- Closed
+  end
+
+(* The timeouts re-arm through callbacks built once per protocol
+   ([create]), so a timeout's only allocation is its wheel entry. *)
+let arm_fasttimo t =
+  if not t.shutdown then
+    ignore (Timewheel.schedule t.wheel ~after:fasttimo_ns t.on_fasttimo)
+
+let arm_slowtimo t =
+  if not t.shutdown then
+    ignore (Timewheel.schedule t.wheel ~after:slowtimo_ns t.on_slowtimo)
+
+let fasttimo t =
+  List.iter fasttimo_session t.all_sessions;
+  arm_fasttimo t
+
 let slowtimo t =
-  List.iter
-    (fun sess ->
-      let tcb = sess.tcb in
-      if tcb.t_rexmt > 0 then begin
-        tcb.t_rexmt <- tcb.t_rexmt - 1;
-        if tcb.t_rexmt = 0 then rexmt_timeout sess
-      end;
-      if tcb.t_persist > 0 then begin
-        tcb.t_persist <- tcb.t_persist - 1;
-        if tcb.t_persist = 0 then persist_timeout sess
-      end;
-      if tcb.t_2msl > 0 then begin
-        tcb.t_2msl <- tcb.t_2msl - 1;
-        if tcb.t_2msl = 0 && tcb.state = Time_wait then tcb.state <- Closed
-      end)
-    t.all_sessions
-
-let rec arm_fasttimo t =
-  if not t.shutdown then
-    ignore
-      (Timewheel.schedule t.wheel ~after:fasttimo_ns (fun () ->
-           fasttimo t;
-           arm_fasttimo t))
-
-let rec arm_slowtimo t =
-  if not t.shutdown then
-    ignore
-      (Timewheel.schedule t.wheel ~after:slowtimo_ns (fun () ->
-           slowtimo t;
-           arm_slowtimo t))
+  List.iter slowtimo_session t.all_sessions;
+  arm_slowtimo t
 
 let start_timers t =
   if not t.timers_running then begin
@@ -1730,14 +1722,17 @@ let create plat pool ~wheel ~ip cfg ~name =
       all_sessions = [];
       accepting = Conn_map.create plat ~name:(name ^ ".accepting") ();
       timers_running = false;
+      on_fasttimo = ignore;
+      on_slowtimo = ignore;
       shutdown = false;
       cksum_failures = 0;
       syn_backlog_drops = 0;
       nil_msg = Msg.create pool 0;
-      spare_io = [||];
-      n_spare_io = 0;
+      spare_io = Pnp_util.Ring.create ();
     }
   in
+  t.on_fasttimo <- (fun () -> fasttimo t);
+  t.on_slowtimo <- (fun () -> slowtimo t);
   Ip.register ip ~proto:Tcp_wire.protocol_number (fun ~src ~dst msg ->
       ignore (Atomic_ctr.incr t.obj_ref);
       input t ~src ~dst msg;
@@ -1796,9 +1791,9 @@ let close_listener t ~local_port =
   locked_create t (fun () ->
       let had_accept = Conn_map.remove t.accepting key in
       let had_demux =
-        match Conn_map.lookup t.conns key with
-        | Some sess when sess.tcb.state = Listen -> Conn_map.remove t.conns key
-        | _ -> false
+        match Conn_map.find t.conns key with
+        | sess when sess.tcb.state = Listen -> Conn_map.remove t.conns key
+        | _ | (exception Not_found) -> false
       in
       had_accept || had_demux)
 

@@ -65,13 +65,13 @@ let rec input t ~src ~dst msg =
       Msg.destroy msg
     end
     else
-      match Port_map.lookup t.sessions dport with
-      | Some sess ->
+      match Port_map.find t.sessions dport with
+      | sess ->
         ignore (Atomic_ctr.incr sess.sess_ref);
         Msg.pop msg header_bytes;
         sess.recv msg;
         ignore (Atomic_ctr.decr sess.sess_ref)
-      | None ->
+      | exception Not_found ->
         t.dropped <- t.dropped + 1;
         Msg.destroy msg
   end
@@ -103,10 +103,9 @@ let locked t f =
 
 let open_session t ~local_port ~remote_addr ~remote_port ~recv =
   locked t (fun () ->
-      match Port_map.lookup t.sessions local_port with
-      | Some _ ->
-        invalid_arg (Printf.sprintf "Udp.open_session: port %d already bound" local_port)
-      | None ->
+      match Port_map.find t.sessions local_port with
+      | _ -> invalid_arg (Printf.sprintf "Udp.open_session: port %d already bound" local_port)
+      | exception Not_found ->
         let sess =
           {
             udp = t;

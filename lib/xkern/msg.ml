@@ -103,14 +103,18 @@ let create pool n =
   end;
   t
 
-let of_string pool s =
-  let t = create pool (String.length s) in
+let of_substring pool s ~off ~len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Msg.of_substring: out of bounds";
+  let t = create pool len in
   if t.n = 1 then begin
     let node = t.v.Mpool.p_nodes.(t.head) in
     Mpool.bump_gen pool node;
-    Bytes.blit_string s 0 (Mpool.data node) t.v.Mpool.p_offs.(t.head) (String.length s)
+    Bytes.blit_string s off (Mpool.data node) t.v.Mpool.p_offs.(t.head) len
   end;
   t
+
+let of_string pool s = of_substring pool s ~off:0 ~len:(String.length s)
 
 let push t n =
   if n < 0 then invalid_arg "Msg.push: negative length";

@@ -20,6 +20,12 @@ val create : Mpool.t -> int -> t
 
 val of_string : Mpool.t -> string -> t
 
+val of_substring : Mpool.t -> string -> off:int -> len:int -> t
+(** [of_substring pool s ~off ~len] is [of_string pool (String.sub s off
+    len)] without the intermediate string: the bytes are copied once,
+    straight into the message's node.
+    @raise Invalid_argument if the range is outside [s]. *)
+
 val length : t -> int
 
 val pool : t -> Mpool.t

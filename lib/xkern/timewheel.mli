@@ -4,15 +4,25 @@
     the paper (Section 2.1), each chain has its own lock so that concurrent
     schedule/cancel operations on different slots do not conflict.
 
-    Expired chains are serviced by short-lived simulated worker threads so
-    that timer callbacks (e.g. TCP retransmission) run in a context that
-    may take protocol locks.
+    Expired chains are serviced by one simulated thread per serviced tick
+    so that timer callbacks (e.g. TCP retransmission) run in a context
+    that may take protocol locks.  Each is spawned with
+    {!Pnp_engine.Sim.spawn_detached}: it gets a fresh tid and leaves the
+    same spawn and exit trace records as any thread, but its record and
+    handler closures are recycled from tick to tick.
 
     The wheel is tickless: it posts one engine event per tick with work
     due and none for empty slots.  That event spawns the tick's service
     thread, which is the same as if every slot had been visited: empty
     slots consumed no simulated time, drew no randomness and left no
-    trace. *)
+    trace.
+
+    Chains are intrusive lists of the entries themselves, the posted
+    event and the service thread's body are built once per wheel, and
+    the chain locks are taken inline: beyond the entry {!schedule}
+    returns, a tick builds no record, closure or list cell of its own,
+    only its service thread's name and what the runtime needs to run a
+    thread. *)
 
 type t
 

@@ -26,7 +26,9 @@ module Make (K : KEY) = struct
     sname : string; (* lock name; also namespaces Trace.Access state *)
     lock : Lock.Counting.t;
     mutable buckets : (K.t * 'v) list array;
-    mutable one_behind : (K.t * 'v) option;
+    mutable one_behind : (K.t * 'v) list;
+        (* the chain cell whose head is the cached binding; [[]] when
+           empty, so a hit reads the binding without an option box *)
     mutable size : int;
     mutable lookups : int;
     mutable cache_hits : int;
@@ -40,7 +42,7 @@ module Make (K : KEY) = struct
      intentionally lock-free read, a write/write race the lockset checker
      (rightly) flags. *)
   type 'v tslot = {
-    mutable t_behind : (K.t * 'v) option;
+    mutable t_behind : (K.t * 'v) list; (* as [one_behind] *)
     mutable t_lookups : int;
     mutable t_hits : int;
   }
@@ -54,7 +56,7 @@ module Make (K : KEY) = struct
     hslot : 'v tslot; (* host-context (outside any sim thread) slot *)
   }
 
-  let fresh_slot () = { t_behind = None; t_lookups = 0; t_hits = 0 }
+  let fresh_slot () = { t_behind = []; t_lookups = 0; t_hits = 0 }
 
   let create plat ?(shards = 1) ?(buckets = 32) ~name () =
     if shards <= 0 then invalid_arg "Xmap.create: shards must be positive";
@@ -77,7 +79,7 @@ module Make (K : KEY) = struct
           Lock.Counting.create plat.Platform.sim plat.Platform.arch
             plat.Platform.map_disc ~name:sname;
         buckets = Array.make buckets [];
-        one_behind = None;
+        one_behind = [];
         size = 0;
         lookups = 0;
         cache_hits = 0;
@@ -136,7 +138,7 @@ module Make (K : KEY) = struct
   let scrub_tslots t k =
     let scrub s =
       match s.t_behind with
-      | Some (k', _) when K.equal k k' -> s.t_behind <- None
+      | (k', _) :: _ when K.equal k k' -> s.t_behind <- []
       | _ -> ()
     in
     Array.iter scrub t.tslots;
@@ -178,45 +180,47 @@ module Make (K : KEY) = struct
         Platform.charge_instrs t.plat hash_instrs;
         let i = bindex t sh h in
         let replaced, chain = remove_binding k sh.buckets.(i) in
-        sh.buckets.(i) <- (k, v) :: chain;
+        let cell = (k, v) :: chain in
+        sh.buckets.(i) <- cell;
         if not replaced then sh.size <- sh.size + 1;
         access t sh ~write:true;
-        sh.one_behind <- Some (k, v);
+        sh.one_behind <- cell;
         scrub_tslots t k;
-        (tslot t).t_behind <- Some (k, v);
+        (tslot t).t_behind <- cell;
         if sh.size > grow_load * Array.length sh.buckets then grow_shard t sh)
 
   (* Walk one chain for [k], charging the hash plus one link per element
-     examined.  Returns the chain's own binding, so a hit builds only the
-     [Some]. *)
+     examined.  Returns the chain cell holding the binding ([[]] on a
+     miss), which becomes the 1-behind entry as is: a hit allocates
+     nothing. *)
   let rec chain_walk t k pos = function
     | [] ->
       Platform.charge_instrs t.plat (hash_instrs + (link_instrs * pos));
-      None
-    | ((k', _) as binding) :: rest ->
+      []
+    | (k', _) :: rest as cell ->
       if K.equal k k' then begin
         Platform.charge_instrs t.plat (hash_instrs + (link_instrs * (pos + 1)));
-        Some binding
+        cell
       end
       else chain_walk t k (pos + 1) rest
 
   let chain_find t sh i k = chain_walk t k 0 sh.buckets.(i)
 
-  let lookup_shard t sh h k =
+  let find_shard t sh h k =
     sh.lookups <- sh.lookups + 1;
     Platform.charge_instrs t.plat cache_probe_instrs;
     access t sh ~write:false;
     match sh.one_behind with
-    | Some (k', v) when K.equal k k' ->
+    | (k', v) :: _ when K.equal k k' ->
       sh.cache_hits <- sh.cache_hits + 1;
-      Some v
+      v
     | _ -> (
       match chain_find t sh (bindex t sh h) k with
-      | Some (_, v) as found ->
+      | (_, v) :: _ as cell ->
         access t sh ~write:true;
-        sh.one_behind <- found;
-        Some v
-      | None -> None)
+        sh.one_behind <- cell;
+        v
+      | [] -> raise_notrace Not_found)
 
   (* The locked lookup keeps the shared per-shard 1-behind cache and
      counters, all under the shard lock, taken and released inline (no
@@ -227,13 +231,13 @@ module Make (K : KEY) = struct
      unserialised demux read the experiment measures, but the
      bookkeeping no longer writes shared state from the unlocked
      path. *)
-  let lookup t k =
+  let find t k =
     let h = hashv k in
     let sh = shard_of t h in
     if t.plat.Platform.map_locking then begin
       if Sim.in_thread t.plat.Platform.sim then begin
         Lock.Counting.acquire sh.lock;
-        match lookup_shard t sh h k with
+        match find_shard t sh h k with
         | v ->
           Lock.Counting.release sh.lock;
           v
@@ -241,22 +245,22 @@ module Make (K : KEY) = struct
           Lock.Counting.release sh.lock;
           raise e
       end
-      else lookup_shard t sh h k
+      else find_shard t sh h k
     end
     else begin
       let s = tslot t in
       s.t_lookups <- s.t_lookups + 1;
       Platform.charge_instrs t.plat cache_probe_instrs;
       match s.t_behind with
-      | Some (k', v) when K.equal k k' ->
+      | (k', v) :: _ when K.equal k k' ->
         s.t_hits <- s.t_hits + 1;
-        Some v
+        v
       | _ -> (
         match chain_find t sh (bindex t sh h) k with
-        | Some (_, v) as found ->
-          s.t_behind <- found;
-          Some v
-        | None -> None)
+        | (_, v) :: _ as cell ->
+          s.t_behind <- cell;
+          v
+        | [] -> raise_notrace Not_found)
     end
 
   let remove t k =
@@ -271,7 +275,7 @@ module Make (K : KEY) = struct
           sh.size <- sh.size - 1;
           access t sh ~write:true;
           (match sh.one_behind with
-          | Some (k', _) when K.equal k k' -> sh.one_behind <- None
+          | (k', _) :: _ when K.equal k k' -> sh.one_behind <- []
           | _ -> ());
           scrub_tslots t k
         end;

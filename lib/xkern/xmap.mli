@@ -16,7 +16,7 @@
     behaviourally identical to the classic layout, including its lock
     name and simulated costs.
 
-    When the platform disables map locking, [lookup] skips the lock — the
+    When the platform disables map locking, [find] skips the lock — the
     Section 3.1 experiment that measured the cost of demultiplexing
     serialisation (about 10% of receive-side throughput).  On that path
     the 1-behind cache and statistics are kept per thread, so the
@@ -41,8 +41,10 @@ module Make (K : KEY) : sig
   val insert : 'v t -> K.t -> 'v -> unit
   (** Bind (replacing any existing binding). *)
 
-  val lookup : 'v t -> K.t -> 'v option
-  (** Demultiplex through the 1-behind cache, then the chain. *)
+  val find : 'v t -> K.t -> 'v
+  (** Demultiplex through the 1-behind cache, then the chain.  The
+      per-packet form: a hit allocates nothing.
+      @raise Not_found when [k] is unbound. *)
 
   val remove : 'v t -> K.t -> bool
 

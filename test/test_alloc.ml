@@ -4,17 +4,19 @@
    measures the minor-heap words it allocates.  The budgets are the
    words the operation cannot avoid: zero for byte access, pops, header
    pushes into a free part slot, buffer cache round trips, checksums,
-   header encode and field reads, uncontended locking and random draws;
-   the handle of a new message (6 words); the [Some] of a demux hit; the
-   continuation the runtime captures when a contended lock parks a
-   thread.  Each test warms its path first, so one-time growth (a cache
-   stack, a waiter array, a spare part vector) stays out of the count.
-   The last tests run whole TCP cells and pin words per delivered
-   packet. *)
+   header encode and field reads, uncontended locking, demux hits and
+   random draws; the handle of a new message (6 words); the continuation
+   the runtime captures when a contended lock parks a thread.  Each test
+   warms its path first, so one-time growth (a cache stack, a waiter
+   array, a spare part vector) stays out of the count.  The last tests
+   run whole TCP cells and pin words per delivered packet, and whole
+   fault-injection worlds: words per fired timer entry, per 1000-byte
+   socket send and per datagram. *)
 
 open Pnp_util
 open Pnp_engine
 open Pnp_xkern
+open Pnp_faults
 open Pnp_proto
 open Pnp_driver
 
@@ -168,11 +170,11 @@ let test_frame_parse_tcp () =
 
 (* TCP sections, driven through the real input path: a receive stack
    with one connection handshaken by [Tcp_source], then frames built
-   outside the measured window and injected with [Fddi.input].  Every
-   segment pays the [Some] of three demux hits, FDDI, IP and TCP (6
-   words); the stack's own segments go to a sink that destroys them.
-   The budgets leave one word for the stack's fast timer, which fires
-   inside some of the windows. *)
+   outside the measured window and injected with [Fddi.input].  The
+   three demux hits of a segment, FDDI, IP and TCP, allocate nothing;
+   the stack's own segments go to a sink that destroys them.  The
+   budgets leave one word for the stack's fast timer, which fires inside
+   some of the windows. *)
 let peer_seq0 = Tcp_seq.add (Tcp_seq.mask (0x10000000 + 2000)) 1
 
 let with_tcp_conn body =
@@ -197,8 +199,8 @@ let with_tcp_conn body =
       in
       body stack sess frame)
 
-(* In-order data on the header-prediction fast path: the demux, plus
-   every other segment's delayed ACK handle (6 words / 2). *)
+(* In-order data on the header-prediction fast path: every other
+   segment's delayed ACK handle (6 words / 2). *)
 let test_tcp_prediction_hit () =
   with_tcp_conn (fun stack sess frame ->
       let seq = ref peer_seq0 and next = ref (Msg.create stack.Stack.pool 0) in
@@ -210,9 +212,9 @@ let test_tcp_prediction_hit () =
       let n = 2_000 in
       let words = words_per_op ~n ~prep (fun _ -> Fddi.input stack.Stack.fddi !next) in
       Alcotest.(check int) "every segment predicted" n ((Tcp.stats sess).Tcp.pred_hits - hits);
-      budget "prediction hit" 10.0 words)
+      budget "prediction hit" 4.0 words)
 
-(* A pure ACK advancing snd_una: the demux only.  The window the ACKs
+(* A pure ACK advancing snd_una: nothing.  The window the ACKs
    advertise lets the congestion window cover it after the first, so
    they take header prediction's pure-ACK path into [process_ack]. *)
 let test_tcp_pure_ack () =
@@ -228,11 +230,11 @@ let test_tcp_pure_ack () =
       let n = 2_000 in
       let words = words_per_op ~n ~prep (fun _ -> Fddi.input stack.Stack.fddi !next) in
       Alcotest.(check int) "every ACK predicted" n ((Tcp.stats sess).Tcp.pred_hits - hits);
-      budget "pure ACK" 7.0 words)
+      budget "pure ACK" 1.0 words)
 
 (* An out-of-order segment joins the empty reassembly queue (a 3-word
-   pair and a 3-word cons) and is acked at once (a 6-word handle), on top
-   of the demux; the gap is filled outside the window. *)
+   pair and a 3-word cons) and is acked at once (a 6-word handle); the
+   gap is filled outside the window. *)
 let test_tcp_reass_insert () =
   with_tcp_conn (fun stack sess frame ->
       let seq = ref peer_seq0 and next = ref (Msg.create stack.Stack.pool 0) in
@@ -250,7 +252,7 @@ let test_tcp_reass_insert () =
       let words = words_per_op ~n ~prep (fun _ -> Fddi.input stack.Stack.fddi !next) in
       Alcotest.(check int) "every segment queued" n
         ((Tcp.stats sess).Tcp.reass_inserts - inserts);
-      budget "reassembly insert" 19.0 words)
+      budget "reassembly insert" 13.0 words)
 
 let test_mpool_cache_round_trip () =
   let p = plat () in
@@ -349,22 +351,31 @@ end
 
 module Imap = Xmap.Make (Int_key)
 
-(* A 1-behind hit builds only the returned [Some v] (2 words), with the
-   shard lock taken and released inline.  A chain hit adds the [Some] of
-   the chain's own binding, which becomes the 1-behind entry as is. *)
+(* [find] returns the binding itself, with the shard lock taken and
+   released inline: a 1-behind hit and a chain hit (whose chain cell
+   becomes the 1-behind entry as is) allocate nothing, and neither does
+   a miss. *)
 let test_xmap_lookup_hit () =
   let p = plat () in
   let m = Imap.create p ~name:"demux" () in
+  let find k = match Imap.find m k with v -> v | exception Not_found -> -1 in
   in_sim p (fun () ->
       for k = 0 to 63 do
         Imap.insert m k k
       done;
       (* Make key 7 the 1-behind entry. *)
-      ignore (Imap.lookup m 7);
-      budget "lookup, 1-behind hit" 2.0 (words_per_op (fun _ -> ignore (Imap.lookup m 7)));
-      budget "lookup, chain hit" 4.0
-        (words_per_op (fun i -> ignore (Imap.lookup m (i land 63))));
-      zero "lookup miss" (words_per_op (fun i -> ignore (Imap.lookup m (64 + (i land 63))))))
+      ignore (find 7);
+      zero "find, 1-behind hit" (words_per_op (fun _ -> ignore (find 7)));
+      zero "find, chain hit" (words_per_op (fun i -> ignore (find (i land 63))));
+      zero "find miss" (words_per_op (fun i -> ignore (find (64 + (i land 63))))))
+
+(* A gate builds its waiting table on the first contended [await], so
+   one that never blocks (most connections') costs only its record. *)
+let test_gate_create () =
+  let p = plat () in
+  budget "gate create" 8.0
+    (words_per_op (fun _ ->
+         ignore (Sys.opaque_identity (Gate.create p.Platform.sim p.Platform.arch ~name:"g"))))
 
 (* The SplitMix64 state is updated in place, so [int] and [bool] draw
    without allocating.  [bits64] hands its caller a boxed Int64 (3
@@ -385,6 +396,50 @@ let test_prng_exponential () =
   let acc = ref 0 in
   zero "exponential" (words_per_op (fun _ -> acc := !acc + Prng.exponential g ~mean:1000.0));
   ignore (Sys.opaque_identity !acc)
+
+(* A ring used as a queue or as a free list allocates nothing once it
+   has grown, also as its head wraps. *)
+let test_ring () =
+  let r = Ring.create () in
+  for i = 1 to 7 do
+    Ring.push r i
+  done;
+  let acc = ref 0 in
+  zero "fifo"
+    (words_per_op (fun i ->
+         Ring.push r i;
+         acc := !acc + Ring.pop r));
+  zero "lifo"
+    (words_per_op (fun i ->
+         Ring.push r i;
+         acc := !acc + Ring.pop_last r));
+  ignore (Sys.opaque_identity !acc)
+
+(* A frame through a fault pipeline whose stages draw nothing and inject
+   nothing: the call's two buffers come from the instance's spare stack
+   and go back, so a pass allocates nothing. *)
+let test_faults_feed () =
+  let p = plat () in
+  let pool = Mpool.create p in
+  let t =
+    Faults.instantiate
+      (Faults.plan
+         [
+           Faults.Blackout { start_ns = max_int / 2; duration_ns = 1; period_ns = 0 };
+           Faults.Duplicate { p = 0.0 };
+           Faults.Reorder { p = 0.0; hold_ns = 100 };
+         ])
+      ~prng:(Prng.create 3) ~skip_bytes:0
+  in
+  let m = Msg.create pool 100 in
+  let on_event _ = Alcotest.fail "no fault expected" in
+  ignore (Faults.feed t ~now:0 ~on_event m);
+  let acc = ref 0 in
+  zero "feed"
+    (words_per_op (fun i ->
+         let n = Faults.feed t ~now:i ~on_event m in
+         acc := !acc + n + Faults.extra_ns t 0));
+  Alcotest.(check int) "every frame passed" 10_000 !acc
 
 (* Words per delivered packet of a whole 1-CPU TCP cell, from the
    difference between a 300 ms and a 100 ms measurement window, which
@@ -409,12 +464,62 @@ let cell_words_per_packet side =
       (w3 -. w1) /. float_of_int (p3 - p1))
 
 let test_cell_tcp_recv () =
-  budget "1-CPU TCP receive, words per packet" 40.0
+  budget "1-CPU TCP receive, words per packet" 34.0
     (cell_words_per_packet Pnp_harness.Config.Recv)
 
 let test_cell_tcp_send () =
   budget "1-CPU TCP send, words per packet" 60.0
     (cell_words_per_packet Pnp_harness.Config.Send)
+
+(* An idle world: two listening stacks on a link and no traffic, so all
+   the work is TCP's fast and slow timeouts firing and re-arming.  A
+   fired entry costs its wheel entry and its share of a tick: the name
+   and trace registration of the tick's service thread, whose record and
+   closures are recycled, and the chain lock's parked continuations.
+   Counted from 1 s to 300 s, past the stacks' setup. *)
+let test_idle_timer_tick () =
+  let p = plat () in
+  let a = Stack.create p ~local_addr:0x0a000001 () in
+  let b = Stack.create p ~local_addr:0x0a000002 () in
+  let _link = Link.connect p ~a ~b () in
+  let _ =
+    Sim.spawn p.Platform.sim ~cpu:0 ~name:"listen" (fun () ->
+        List.iter
+          (fun s -> Tcp.listen s.Stack.tcp ~local_port:80 ~accept:(fun _ -> ()))
+          [ a; b ])
+  in
+  let fired () = Timewheel.fired a.Stack.wheel + Timewheel.fired b.Stack.wheel in
+  Sim.run ~until:(Units.sec 1.0) p.Platform.sim;
+  let f0 = fired () in
+  let w0 = Gc.minor_words () in
+  Sim.run ~until:(Units.sec 300.0) p.Platform.sim;
+  let words = Gc.minor_words () -. w0 in
+  let n = fired () - f0 in
+  if n < 4000 then Alcotest.failf "only %d timer entries fired" n;
+  budget "idle world, words per fired timer entry" 50.0 (words /. float_of_int n)
+
+(* The default fault-injection cell ([Chaos.run_cell] under the baseline
+   plan, the mutex and single-lock TCP): words per 1000-byte socket send
+   from the difference between a 300 kB and a 100 kB stream, and per
+   datagram between 800 and 200 datagrams, which cancels both worlds'
+   setup and their 300 s and 10 s horizons of idle timer ticks. *)
+let chaos_words ~bytes ~datagrams =
+  let open Pnp_harness in
+  let w0 = Gc.minor_words () in
+  let o = Chaos.run_cell ~bytes ~datagrams ~plan:Faults.none ~disc:Lock.Unfair () in
+  let words = Gc.minor_words () -. w0 in
+  if not (Chaos.passed o) then Alcotest.failf "chaos cell failed its oracle";
+  words
+
+let test_chaos_send () =
+  let w1 = chaos_words ~bytes:100_000 ~datagrams:0 in
+  let w3 = chaos_words ~bytes:300_000 ~datagrams:0 in
+  budget "chaos cell, words per 1000-byte send" 300.0 ((w3 -. w1) /. 200.0)
+
+let test_chaos_datagram () =
+  let w1 = chaos_words ~bytes:0 ~datagrams:200 in
+  let w4 = chaos_words ~bytes:0 ~datagrams:800 in
+  budget "chaos cell, words per datagram" 110.0 ((w4 -. w1) /. 600.0)
 
 let suites =
   [
@@ -429,6 +534,8 @@ let suites =
         Alcotest.test_case "xmap lookup hit" `Quick test_xmap_lookup_hit;
         Alcotest.test_case "prng draws" `Quick test_prng_draws;
         Alcotest.test_case "prng exponential" `Quick test_prng_exponential;
+        Alcotest.test_case "ring queue and free list" `Quick test_ring;
+        Alcotest.test_case "faults feed pass-through" `Quick test_faults_feed;
         Alcotest.test_case "msg push into a free slot" `Quick test_msg_push_spare;
         Alcotest.test_case "tcp_wire encode/decode" `Quick test_tcp_wire_codec;
         Alcotest.test_case "frame parse_tcp" `Quick test_frame_parse_tcp;
@@ -437,5 +544,9 @@ let suites =
         Alcotest.test_case "tcp reassembly insert" `Quick test_tcp_reass_insert;
         Alcotest.test_case "1-CPU TCP receive cell" `Quick test_cell_tcp_recv;
         Alcotest.test_case "1-CPU TCP send cell" `Quick test_cell_tcp_send;
+        Alcotest.test_case "gate create" `Quick test_gate_create;
+        Alcotest.test_case "idle world timer tick" `Quick test_idle_timer_tick;
+        Alcotest.test_case "chaos cell send" `Quick test_chaos_send;
+        Alcotest.test_case "chaos cell datagram" `Quick test_chaos_datagram;
       ] );
   ]

@@ -92,7 +92,7 @@ let test_lockset_partial_lock_overlap_fires () =
    | fs -> Alcotest.fail (Printf.sprintf "expected 1 finding, got %d" (List.length fs)))
 
 let test_lockset_fires_on_unlocked_map_cache () =
-  (* The pre-shard demux bug, as a trace: [Xmap.lookup]'s unlocked fast
+  (* The pre-shard demux bug, as a trace: [Xmap.find]'s unlocked fast
      path used to write the map's shared 1-behind cache and counters.
      One thread updates the cache under the map lock (an insert), the
      other writes it holding nothing (the unlocked lookup) — the
@@ -134,8 +134,8 @@ let test_unlocked_map_lookup_is_clean () =
       (Sim.spawn p.Platform.sim ~cpu:i ~name:(Printf.sprintf "rdr.%d" i) (fun () ->
            Imap.insert m i i;
            for _ = 1 to 50 do
-             (match Imap.lookup m i with Some v -> sum := !sum + v | None -> ());
-             ignore (Imap.lookup m ((i + 1) mod 4));
+             (match Imap.find m i with v -> sum := !sum + v | exception Not_found -> ());
+             (try ignore (Imap.find m ((i + 1) mod 4)) with Not_found -> ());
              Sim.delay p.Platform.sim 100
            done))
   done;

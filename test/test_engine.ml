@@ -276,6 +276,35 @@ let test_sim_spawn_on_cpu () =
   Sim.run sim;
   Alcotest.(check bool) "finished" true (Sim.is_finished th)
 
+(* A detached thread's record is recycled: the next detached spawn after
+   it exits runs on the same record under a fresh tid, cpu and name, and
+   a finished detached thread is no longer listed. *)
+let test_sim_spawn_detached_recycles () =
+  let sim = Sim.create () in
+  let lives = ref [] in
+  let body () =
+    let th = Sim.self sim in
+    Sim.delay sim 10;
+    lives := (th, Sim.tid th, Sim.cpu th, Sim.thread_name th) :: !lives
+  in
+  let kept = Sim.spawn sim ~name:"kept" (fun () -> Sim.delay sim 1_000) in
+  Sim.spawn_detached sim ~cpu:4 ~name:"d0" body;
+  Sim.at sim 100 (fun () ->
+      Alcotest.(check (list string))
+        "only the kept thread is live" [ "kept" ]
+        (List.map Sim.thread_name (Sim.live_threads sim));
+      Sim.spawn_detached sim ~cpu:5 ~name:"d1" body);
+  Sim.run sim;
+  match !lives with
+  | [ (th1, tid1, cpu1, name1); (th0, tid0, cpu0, name0) ] ->
+    Alcotest.(check bool) "same record" true (th0 == th1);
+    Alcotest.(check (list int)) "fresh tids" [ 1; 2 ] [ tid0; tid1 ];
+    Alcotest.(check (list int)) "cpus" [ 4; 5 ] [ cpu0; cpu1 ];
+    Alcotest.(check (list string)) "names" [ "d0"; "d1" ] [ name0; name1 ];
+    Alcotest.(check bool) "kept thread finished" true (Sim.is_finished kept);
+    Alcotest.(check int) "nothing live" 0 (List.length (Sim.live_threads sim))
+  | l -> Alcotest.failf "%d detached lives ran, expected 2" (List.length l)
+
 let test_sim_yield_fairness () =
   (* Two threads that yield in a loop interleave at the same timestamp. *)
   let sim = Sim.create () in
@@ -751,6 +780,18 @@ let test_gate_no_wait_when_in_order () =
   Alcotest.(check int) "no wait time" 0 (Gate.total_wait_ns gate);
   Alcotest.(check int) "served two" 2 (Gate.serving gate)
 
+(* Two threads awaiting one ticket is a caller bug the gate reports. *)
+let test_gate_duplicate_ticket_fails () =
+  let sim = Sim.create () in
+  let gate = Gate.create sim arch ~name:"app" in
+  for i = 0 to 1 do
+    ignore (Sim.spawn sim ~name:(Printf.sprintf "w%d" i) (fun () -> Gate.await gate 1))
+  done;
+  match Sim.run sim with
+  | () -> Alcotest.fail "duplicate ticket accepted"
+  | exception Failure msg ->
+    Alcotest.(check string) "message" "Gate.await \"app\": duplicate ticket 1" msg
+
 (* ------------------------------------------------------------------ *)
 (* Atomic_ctr                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1007,6 +1048,7 @@ let suites =
         Alcotest.test_case "contended delay allocation budget" `Quick
           test_sim_contended_delay_alloc;
         Alcotest.test_case "spawn on cpu" `Quick test_sim_spawn_on_cpu;
+        Alcotest.test_case "detached spawn recycles" `Quick test_sim_spawn_detached_recycles;
         Alcotest.test_case "yield fairness" `Quick test_sim_yield_fairness;
         Alcotest.test_case "deterministic per seed" `Quick test_sim_deterministic_given_seed;
         Alcotest.test_case "inline delay equals suspend path" `Quick
@@ -1043,6 +1085,7 @@ let suites =
       [
         Alcotest.test_case "orders delivery" `Quick test_gate_orders_delivery;
         Alcotest.test_case "no wait when in order" `Quick test_gate_no_wait_when_in_order;
+        Alcotest.test_case "duplicate ticket fails" `Quick test_gate_duplicate_ticket_fails;
       ] );
     ( "engine.atomic",
       [

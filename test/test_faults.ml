@@ -19,6 +19,11 @@ let in_sim plat body =
 let ms = Units.ms
 let us = Units.us
 
+(* The frames one offered frame leaves the pipeline as, each with its
+   extra delay. *)
+let feed t ~now ~on_event m =
+  List.init (Faults.feed t ~now ~on_event m) (fun i -> (Faults.frame t i, Faults.extra_ns t i))
+
 (* ------------------------------------------------------------------ *)
 (* Pipeline unit tests                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -48,7 +53,7 @@ let test_feed_deterministic () =
           let m = Msg.create pool 600 in
           Msg.fill_pattern m ~off:0 ~len:600 ~stream_off:(i * 600);
           let out =
-            Faults.feed t ~now:(i * us 100.0) ~on_event:(fun e -> events := e :: !events) m
+            feed t ~now:(i * us 100.0) ~on_event:(fun e -> events := e :: !events) m
           in
           List.iter
             (fun (frame, extra) ->
@@ -75,7 +80,7 @@ let test_bernoulli_rate () =
       for _ = 1 to 2000 do
         List.iter
           (fun (m, _) -> Msg.destroy m)
-          (Faults.feed t ~now:0 ~on_event:(fun _ -> ()) (Msg.create pool 100))
+          (feed t ~now:0 ~on_event:(fun _ -> ()) (Msg.create pool 100))
       done;
       let rate = float_of_int (Faults.dropped t) /. 2000.0 in
       Alcotest.(check bool)
@@ -101,7 +106,7 @@ let test_corrupt_spares_shared_nodes () =
       let before = Msg.to_string original in
       let flips = ref [] in
       let out =
-        Faults.feed t ~now:0
+        feed t ~now:0
           ~on_event:(fun e ->
             match e with Faults.Ev_corrupt { off; bit } -> flips := (off, bit) :: !flips | _ -> ())
           (Msg.dup original)
@@ -133,7 +138,7 @@ let test_duplicate_and_delays () =
              ])
           ~prng:(Prng.create 9) ~skip_bytes:0
       in
-      let out = Faults.feed t ~now:0 ~on_event:(fun _ -> ()) (Msg.create pool 50) in
+      let out = feed t ~now:0 ~on_event:(fun _ -> ()) (Msg.create pool 50) in
       Alcotest.(check int) "original + one copy" 2 (List.length out);
       List.iter
         (fun (m, extra) ->
@@ -145,6 +150,48 @@ let test_duplicate_and_delays () =
         out;
       Alcotest.(check int) "duplicated counter" 1 (Faults.duplicated t);
       Alcotest.(check int) "reordered counter (both copies)" 2 (Faults.reordered t))
+
+(* Two threads offer frames to one instance, and the first suspends
+   inside a stage: its duplicate takes a reference (simulated atomic
+   time) while the second thread's offer falls due, and the second
+   thread's frame is dropped by a blackout whose destroy suspends in
+   turn.  Each call must come back with its own frames only. *)
+let test_feed_reentrant () =
+  let p = plat () in
+  let sim = p.Platform.sim in
+  let pool = Mpool.create p in
+  let t =
+    Faults.instantiate
+      (Faults.plan
+         [
+           Faults.Blackout { start_ns = 1_000; duration_ns = 1_000; period_ns = 0 };
+           Faults.Duplicate { p = 1.0 };
+         ])
+      ~prng:(Prng.create 5) ~skip_bytes:0
+  in
+  let frame stream_off =
+    let m = Msg.create pool 50 in
+    Msg.fill_pattern m ~off:0 ~len:50 ~stream_off;
+    m
+  in
+  let ma = frame 0 and mb = frame 1_000 in
+  let bytes_a = Msg.to_string ma in
+  let out_a = ref [] and out_b = ref [ ("not offered", -1) ] in
+  let offer now m out =
+    out := List.map (fun (f, extra) -> (Msg.to_string f, extra)) (feed t ~now ~on_event:ignore m)
+  in
+  let _ = Sim.spawn sim ~name:"a" (fun () -> offer 0 ma out_a) in
+  let _ =
+    Sim.spawn sim ~name:"b" (fun () ->
+        Sim.delay sim 1;
+        offer 1_500 mb out_b)
+  in
+  Sim.run sim;
+  Alcotest.(check (list (pair string int)))
+    "first offer: original and copy" [ (bytes_a, 0); (bytes_a, 0) ] !out_a;
+  Alcotest.(check int) "second offer blacked out" 0 (List.length !out_b);
+  Alcotest.(check int) "one dropped" 1 (Faults.dropped t);
+  Alcotest.(check int) "one duplicated" 1 (Faults.duplicated t)
 
 let test_blackout_window () =
   let p = plat () in
@@ -160,7 +207,7 @@ let test_blackout_window () =
           ~prng:(Prng.create 3) ~skip_bytes:0
       in
       let fate now =
-        match Faults.feed t ~now ~on_event:(fun _ -> ()) (Msg.create pool 10) with
+        match feed t ~now ~on_event:(fun _ -> ()) (Msg.create pool 10) with
         | [] -> `Dropped
         | out ->
           List.iter (fun (m, _) -> Msg.destroy m) out;
@@ -195,7 +242,7 @@ let test_wan_rtt_per_flow () =
         m
       in
       let delay_of ~src ~sport =
-        match Faults.feed t ~now:0 ~on_event:(fun _ -> ()) (frame ~src ~sport) with
+        match feed t ~now:0 ~on_event:(fun _ -> ()) (frame ~src ~sport) with
         | [ (m, d) ] ->
           Msg.destroy m;
           d
@@ -230,6 +277,24 @@ let test_wan_rtt_per_flow () =
 (* ------------------------------------------------------------------ *)
 (* Recovery oracle: a seeded defect must produce findings               *)
 (* ------------------------------------------------------------------ *)
+
+(* The digest of a stream is the same fed as a string, in string chunks
+   or as byte slices (how the chaos server folds a message's parts). *)
+let test_digest_chunks () =
+  let s = "the quick brown fox jumps over the lazy dog" in
+  let whole = Recovery.digest s in
+  let b = Bytes.of_string s in
+  let slices =
+    List.fold_left
+      (fun acc (off, len) -> Recovery.digest_add_bytes acc b ~off ~len)
+      (Recovery.digest "") [ (0, 4); (4, 0); (4, 20); (24, 19) ]
+  in
+  Alcotest.(check int) "byte slices" whole slices;
+  Alcotest.(check int) "string chunks" whole
+    (Recovery.digest_add (Recovery.digest (String.sub s 0 9)) (String.sub s 9 34));
+  match Recovery.digest_add_bytes whole b ~off:40 ~len:4 with
+  | _ -> Alcotest.fail "slice past the end accepted"
+  | exception Invalid_argument _ -> ()
 
 let clean_stream () =
   let d = Recovery.digest "hello world" in
@@ -531,12 +596,14 @@ let suites =
         Alcotest.test_case "corrupt spares shared nodes" `Quick
           test_corrupt_spares_shared_nodes;
         Alcotest.test_case "duplicate and delays" `Quick test_duplicate_and_delays;
+        Alcotest.test_case "feed is re-entrant" `Quick test_feed_reentrant;
         Alcotest.test_case "blackout window" `Quick test_blackout_window;
         Alcotest.test_case "wan rtt per-flow stretch" `Quick test_wan_rtt_per_flow;
       ] );
     ( "faults.oracle",
       [
         Alcotest.test_case "clean obs passes" `Quick test_oracle_clean;
+        Alcotest.test_case "digest of chunks and slices" `Quick test_digest_chunks;
         Alcotest.test_case "catches digest mismatch" `Quick
           test_oracle_catches_digest_mismatch;
         Alcotest.test_case "catches silent corruption" `Quick

@@ -289,6 +289,52 @@ let test_packet_spans_balanced () =
     true
     (Hashtbl.length open_spans <= 16)
 
+(* Timer ticks recycle their service threads' records, and the trace
+   cannot tell: an idle two-stack world traced for 10 s shows one
+   [Thread_spawn] and one [Thread_exit] under a distinct tid for each
+   serviced tick, and the same 1,624 records the world traced before
+   recycling.  Once a tick's thread is done, [live_threads] no longer
+   lists it. *)
+let test_recycled_ticks_keep_trace () =
+  let open Pnp_driver in
+  let p = Platform.create arch in
+  let sim = p.Platform.sim in
+  Trace.enable (Sim.tracer sim);
+  let a = Stack.create p ~local_addr:0x0a000001 () in
+  let b = Stack.create p ~local_addr:0x0a000002 () in
+  let _link = Link.connect p ~a ~b () in
+  let _ =
+    Sim.spawn sim ~cpu:0 ~name:"listen" (fun () ->
+        List.iter
+          (fun s -> Pnp_proto.Tcp.listen s.Stack.tcp ~local_port:80 ~accept:(fun _ -> ()))
+          [ a; b ])
+  in
+  Sim.run ~until:(Pnp_util.Units.sec 10.0) sim;
+  let tracer = Sim.tracer sim in
+  let is_tick name = String.starts_with ~prefix:"evmgr.tick" name in
+  let ticks = Hashtbl.create 256 and exits = Hashtbl.create 256 in
+  Trace.iter tracer (fun r ->
+      match r.Trace.ev with
+      | Trace.Thread_spawn { name } when is_tick name ->
+        if Hashtbl.mem ticks r.Trace.tid then Alcotest.failf "tid %d spawned twice" r.Trace.tid;
+        Hashtbl.replace ticks r.Trace.tid ()
+      | Trace.Thread_exit ->
+        Hashtbl.replace exits r.Trace.tid
+          (1 + Option.value ~default:0 (Hashtbl.find_opt exits r.Trace.tid))
+      | _ -> ());
+  Alcotest.(check int) "serviced ticks" 128 (Hashtbl.length ticks);
+  Hashtbl.iter
+    (fun tid () ->
+      Alcotest.(check int)
+        (Printf.sprintf "tid %d exits once" tid)
+        1
+        (Option.value ~default:0 (Hashtbl.find_opt exits tid)))
+    ticks;
+  Alcotest.(check int) "trace length" 1624 (Trace.count tracer);
+  Alcotest.(check (list string))
+    "live threads" [ "link.rx.b"; "link.rx.a" ]
+    (List.map Sim.thread_name (Sim.live_threads sim))
+
 let suites =
   [
     ( "engine.trace",
@@ -304,6 +350,8 @@ let suites =
           test_gate_pass_after_take_in_ticket_order;
         Alcotest.test_case "disabled records nothing" `Quick test_disabled_records_nothing;
         Alcotest.test_case "chrome export sanity" `Quick test_chrome_export_sanity;
+        Alcotest.test_case "recycled ticks keep the trace" `Quick
+          test_recycled_ticks_keep_trace;
       ] );
     ( "harness.trace",
       [

@@ -181,6 +181,53 @@ let test_units_pp () =
   Alcotest.(check string) "us" "1.500us" (s 1500);
   Alcotest.(check string) "ms" "2.000ms" (s 2_000_000)
 
+(* ------------------------------------------------------------------ *)
+(* Ring                                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Values come out of the front in push order, also after the head has
+   wrapped and the ring has grown with live values across the wrap. *)
+let test_ring_fifo () =
+  let r = Ring.create () in
+  let next_in = ref 0 and next_out = ref 0 in
+  let push k =
+    for _ = 1 to k do
+      Ring.push r !next_in;
+      incr next_in
+    done
+  in
+  let pop k =
+    for _ = 1 to k do
+      Alcotest.(check int) "front" !next_out (Ring.pop r);
+      incr next_out
+    done
+  in
+  push 6;
+  pop 5;
+  push 10 (* wraps, then grows past 8 *);
+  Alcotest.(check int) "length" 11 (Ring.length r);
+  for i = 0 to Ring.length r - 1 do
+    Alcotest.(check int) "get" (!next_out + i) (Ring.get r i)
+  done;
+  pop 11;
+  Alcotest.(check bool) "drained" true (Ring.is_empty r)
+
+let test_ring_lifo_and_errors () =
+  let r = Ring.create () in
+  List.iter (Ring.push r) [ 1; 2; 3 ];
+  Alcotest.(check int) "back" 3 (Ring.pop_last r);
+  Alcotest.(check int) "front" 1 (Ring.pop r);
+  Alcotest.(check int) "last left" 2 (Ring.pop_last r);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Ring.pop: empty") (fun () ->
+      ignore (Ring.pop r));
+  Alcotest.check_raises "pop_last empty" (Invalid_argument "Ring.pop_last: empty")
+    (fun () -> ignore (Ring.pop_last r));
+  Ring.push r 9;
+  Alcotest.check_raises "get past the end" (Invalid_argument "Ring.get: index out of range")
+    (fun () -> ignore (Ring.get r 1));
+  Ring.clear r;
+  Alcotest.(check int) "cleared" 0 (Ring.length r)
+
 let suites =
   [
     ( "util.prng",
@@ -212,5 +259,10 @@ let suites =
         Alcotest.test_case "conversions" `Quick test_units_conversions;
         Alcotest.test_case "throughput" `Quick test_units_throughput;
         Alcotest.test_case "pretty printing" `Quick test_units_pp;
+      ] );
+    ( "util.ring",
+      [
+        Alcotest.test_case "fifo across wrap and growth" `Quick test_ring_fifo;
+        Alcotest.test_case "lifo and errors" `Quick test_ring_lifo_and_errors;
       ] );
   ]

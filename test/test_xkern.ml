@@ -318,6 +318,26 @@ let test_msg_of_string_roundtrip () =
       Alcotest.(check string) "roundtrip" "hello world" (Msg.to_string m);
       Msg.destroy m)
 
+(* A slice of a string reads back as that slice; out-of-range slices
+   are refused. *)
+let test_msg_of_substring () =
+  let p, pool = msg_env () in
+  in_sim p (fun () ->
+      let s = "hello world" in
+      let m = Msg.of_substring pool s ~off:6 ~len:5 in
+      Alcotest.(check string) "slice" "world" (Msg.to_string m);
+      Msg.destroy m;
+      let e = Msg.of_substring pool s ~off:11 ~len:0 in
+      Alcotest.(check int) "empty slice at the end" 0 (Msg.length e);
+      Msg.destroy e;
+      List.iter
+        (fun (off, len) ->
+          match Msg.of_substring pool s ~off ~len with
+          | _ -> Alcotest.failf "slice (%d, %d) accepted" off len
+          | exception Invalid_argument _ -> ())
+        [ (-1, 2); (8, 4); (0, -1); (12, 0) ];
+      Alcotest.(check int) "no leak" 0 (Mpool.live_nodes pool))
+
 let test_msg_push_pop_headers () =
   let p, pool = msg_env () in
   in_sim p (fun () ->
@@ -526,19 +546,22 @@ end
 
 module Imap = Xmap.Make (Int_key)
 
+(* A map read as an option, for checks that compare hits and misses. *)
+let lookup m k = match Imap.find m k with v -> Some v | exception Not_found -> None
+
 let test_xmap_insert_lookup_remove () =
   let p = plat () in
   let m = Imap.create p ~name:"test" () in
   in_sim p (fun () ->
       Imap.insert m 1 "one";
       Imap.insert m 2 "two";
-      Alcotest.(check (option string)) "lookup 1" (Some "one") (Imap.lookup m 1);
-      Alcotest.(check (option string)) "lookup 2" (Some "two") (Imap.lookup m 2);
-      Alcotest.(check (option string)) "lookup missing" None (Imap.lookup m 3);
+      Alcotest.(check (option string)) "lookup 1" (Some "one") (lookup m 1);
+      Alcotest.(check (option string)) "lookup 2" (Some "two") (lookup m 2);
+      Alcotest.(check (option string)) "lookup missing" None (lookup m 3);
       Alcotest.(check int) "length" 2 (Imap.length m);
       Alcotest.(check bool) "remove" true (Imap.remove m 1);
       Alcotest.(check bool) "remove again" false (Imap.remove m 1);
-      Alcotest.(check (option string)) "gone" None (Imap.lookup m 1);
+      Alcotest.(check (option string)) "gone" None (lookup m 1);
       Alcotest.(check int) "length after" 1 (Imap.length m))
 
 let test_xmap_insert_replaces () =
@@ -547,7 +570,7 @@ let test_xmap_insert_replaces () =
   in_sim p (fun () ->
       Imap.insert m 7 "a";
       Imap.insert m 7 "b";
-      Alcotest.(check (option string)) "replaced" (Some "b") (Imap.lookup m 7);
+      Alcotest.(check (option string)) "replaced" (Some "b") (lookup m 7);
       Alcotest.(check int) "no duplicate" 1 (Imap.length m))
 
 let test_xmap_one_behind_cache () =
@@ -555,12 +578,12 @@ let test_xmap_one_behind_cache () =
   let m = Imap.create p ~name:"test" () in
   in_sim p (fun () ->
       Imap.insert m 5 "five";
-      ignore (Imap.lookup m 5);
-      ignore (Imap.lookup m 5);
-      ignore (Imap.lookup m 5);
+      ignore (lookup m 5);
+      ignore (lookup m 5);
+      ignore (lookup m 5);
       (* insert seeds the cache, so all three lookups hit *)
       Alcotest.(check int) "cache hits" 3 (Imap.cache_hits m);
-      ignore (Imap.lookup m 99);
+      ignore (lookup m 99);
       Alcotest.(check int) "miss not cached" 3 (Imap.cache_hits m))
 
 let test_xmap_cache_invalidated_on_remove () =
@@ -568,9 +591,34 @@ let test_xmap_cache_invalidated_on_remove () =
   let m = Imap.create p ~name:"test" () in
   in_sim p (fun () ->
       Imap.insert m 5 "five";
-      ignore (Imap.lookup m 5);
+      ignore (lookup m 5);
       ignore (Imap.remove m 5);
-      Alcotest.(check (option string)) "stale cache not served" None (Imap.lookup m 5))
+      Alcotest.(check (option string)) "stale cache not served" None (lookup m 5))
+
+(* [find] returns the binding on a hit, from the 1-behind entry or the
+   chain, and raises [Not_found] on a miss, also for a key whose binding
+   was just replaced or removed. *)
+let test_xmap_find () =
+  let p = plat () in
+  let m = Imap.create p ~name:"test" () in
+  in_sim p (fun () ->
+      let missing k =
+        match Imap.find m k with
+        | v -> Alcotest.failf "key %d found as %S" k v
+        | exception Not_found -> ()
+      in
+      missing 1;
+      Imap.insert m 1 "one";
+      Imap.insert m 2 "two";
+      Alcotest.(check string) "1-behind hit" "two" (Imap.find m 2);
+      Alcotest.(check string) "chain hit" "one" (Imap.find m 1);
+      Alcotest.(check string) "hit again" "one" (Imap.find m 1);
+      Imap.insert m 1 "uno";
+      Alcotest.(check string) "replaced" "uno" (Imap.find m 1);
+      Alcotest.(check string) "other key kept" "two" (Imap.find m 2);
+      ignore (Imap.remove m 1);
+      missing 1;
+      Alcotest.(check string) "other key still found" "two" (Imap.find m 2))
 
 let test_xmap_many_keys_with_collisions () =
   let p = plat () in
@@ -584,7 +632,7 @@ let test_xmap_many_keys_with_collisions () =
         Alcotest.(check (option string))
           (Printf.sprintf "key %d" i)
           (Some (string_of_int i))
-          (Imap.lookup m i)
+          (lookup m i)
       done)
 
 let test_xmap_iter_visits_all () =
@@ -604,7 +652,7 @@ let test_xmap_iter_can_recurse () =
       Imap.insert m 2 20;
       (* mapForEach calling lookup on the same (counting-)locked map *)
       let acc = ref 0 in
-      Imap.iter m (fun k _ -> acc := !acc + Option.value ~default:0 (Imap.lookup m k));
+      Imap.iter m (fun k _ -> acc := !acc + Option.value ~default:0 (lookup m k));
       Alcotest.(check int) "recursive lookups fine" 30 !acc)
 
 (* The sharded map against a Hashtbl oracle: a random mix of
@@ -633,12 +681,12 @@ let prop_xmap_matches_hashtbl =
                 if Imap.remove m k <> expect then
                   QCheck.Test.fail_report "remove disagrees with oracle"
               | _ ->
-                if Imap.lookup m k <> Hashtbl.find_opt oracle k then
+                if lookup m k <> Hashtbl.find_opt oracle k then
                   QCheck.Test.fail_report "lookup disagrees with oracle")
             ops;
           Hashtbl.iter
             (fun k v ->
-              if Imap.lookup m k <> Some v then
+              if lookup m k <> Some v then
                 QCheck.Test.fail_report "binding lost (resize or remove ate it)")
             oracle;
           let seen : (int, int) Hashtbl.t = Hashtbl.create 16 in
@@ -665,8 +713,8 @@ let test_xmap_chain_length_bounded_at_100k () =
       Alcotest.(check bool)
         (Printf.sprintf "mean chain length %.2f stays bounded" mean)
         true (mean <= 2.01);
-      Alcotest.(check (option int)) "first key survives" (Some 1) (Imap.lookup m 1);
-      Alcotest.(check (option int)) "last key survives" (Some n) (Imap.lookup m n))
+      Alcotest.(check (option int)) "first key survives" (Some 1) (lookup m 1);
+      Alcotest.(check (option int)) "last key survives" (Some n) (lookup m n))
 
 let test_xmap_unlocked_lookup_cheaper () =
   let cost locking =
@@ -677,7 +725,7 @@ let test_xmap_unlocked_lookup_cheaper () =
       Sim.spawn p.Platform.sim ~name:"t" (fun () ->
           Imap.insert m 1 1;
           for _ = 1 to 100 do
-            ignore (Imap.lookup m 1)
+            ignore (lookup m 1)
           done;
           t_end := Sim.now p.Platform.sim)
     in
@@ -719,6 +767,33 @@ let test_wheel_cancel () =
   Sim.run p.Platform.sim;
   Alcotest.(check bool) "never fired" false !fired;
   Alcotest.(check int) "not pending" 0 (Timewheel.pending w)
+
+(* Entries of one slot, due at one tick or a revolution later: the due
+   ones fire in chain order (newest first), an entry cancelled from the
+   middle of the chain never fires, and the entries left behind keep
+   their order for the next revolution. *)
+let test_wheel_same_slot_order () =
+  let p = plat () in
+  let w = Timewheel.create p ~slot_ns:(Pnp_util.Units.ms 1.0) ~slots:4 ~name:"w" () in
+  let fired = ref [] in
+  let _ =
+    Sim.spawn p.Platform.sim ~name:"sched" (fun () ->
+        let at ms tag =
+          Timewheel.schedule w ~after:(Pnp_util.Units.ms ms) (fun () -> fired := tag :: !fired)
+        in
+        (* Taking the chain lock costs simulated time, so the delays sit
+           mid-tick: all round up to tick 3 or, one revolution on, 7. *)
+        ignore (at 6.5 "late-a");
+        ignore (at 2.5 "a");
+        let b = at 2.5 "b" in
+        ignore (at 6.5 "late-b");
+        ignore (at 2.5 "c");
+        Alcotest.(check bool) "cancel from mid-chain" true (Timewheel.cancel w b))
+  in
+  Sim.run p.Platform.sim;
+  Alcotest.(check (list string)) "fire order" [ "c"; "a"; "late-b"; "late-a" ] (List.rev !fired);
+  Alcotest.(check int) "fired" 4 (Timewheel.fired w);
+  Alcotest.(check int) "none pending" 0 (Timewheel.pending w)
 
 let test_wheel_wraps_around () =
   (* An event further away than slots*slot_ns must survive wheel laps. *)
@@ -951,6 +1026,7 @@ let suites =
       [
         Alcotest.test_case "create/length" `Quick test_msg_create_length;
         Alcotest.test_case "of_string roundtrip" `Quick test_msg_of_string_roundtrip;
+        Alcotest.test_case "of_substring" `Quick test_msg_of_substring;
         Alcotest.test_case "push/pop headers" `Quick test_msg_push_pop_headers;
         Alcotest.test_case "pop partial part" `Quick test_msg_pop_partial_part;
         Alcotest.test_case "pop too much rejected" `Quick test_msg_pop_too_much_rejected;
@@ -973,6 +1049,7 @@ let suites =
         Alcotest.test_case "1-behind cache" `Quick test_xmap_one_behind_cache;
         Alcotest.test_case "cache invalidated on remove" `Quick
           test_xmap_cache_invalidated_on_remove;
+        Alcotest.test_case "find" `Quick test_xmap_find;
         Alcotest.test_case "collisions handled" `Quick test_xmap_many_keys_with_collisions;
         Alcotest.test_case "iter visits all" `Quick test_xmap_iter_visits_all;
         Alcotest.test_case "iter can recurse (counting lock)" `Quick test_xmap_iter_can_recurse;
@@ -985,6 +1062,8 @@ let suites =
       [
         Alcotest.test_case "fires in order" `Quick test_wheel_fires_in_order;
         Alcotest.test_case "cancel" `Quick test_wheel_cancel;
+        Alcotest.test_case "same-slot order and mid-chain cancel" `Quick
+          test_wheel_same_slot_order;
         Alcotest.test_case "wraps around" `Quick test_wheel_wraps_around;
         Alcotest.test_case "timer can take locks" `Quick test_wheel_timer_can_take_locks;
         Alcotest.test_case "reschedules after idle" `Quick test_wheel_reschedule_after_idle;
